@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import itertools
 
-import networkx as nx
-
 from .errors import TooLarge
 from .graphs import Color, Kind, MarkedGraph, canonical_key, is_stable, validate
 
@@ -26,6 +24,8 @@ def _tree_shapes(v):
     if v == 1:
         yield ()
         return
+    import networkx as nx  # only the oracle needs it; keeps CLI start-up light
+
     for t in nx.nonisomorphic_trees(v):
         yield tuple(sorted(tuple(sorted(e)) for e in t.edges()))
 

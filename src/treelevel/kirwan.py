@@ -23,9 +23,13 @@ from .errors import (
     EmptySector,
     InvalidAction,
     RankUnsupported,
+    TooLarge,
     UnstableSector,
 )
-from .linalg import cone_contains, frac_rank, solve_in_span
+from .linalg import cone_contains, frac_rank
+
+# qh_presentation visits degree_bound * lcm(weights) degrees; refuse more.
+PRESENTATION_DEGREE_GUARD = 10000
 
 
 @dataclass(frozen=True)
@@ -65,22 +69,11 @@ def _in_open_halfspace(weights):
     """Exact test: some eta pairs strictly positively with every weight.
 
     Equivalent to the origin not lying in the convex hull of the
-    weights, checked over all small affinely independent subsets.
+    weights, that is, to e_(s+1) not lying in the cone of the weights
+    lifted by a last coordinate 1 (a zero weight lifts onto e_(s+1)).
     """
     s = len(weights[0])
-    pts = [tuple(Fraction(x) for x in w) for w in weights]
-    if any(all(x == 0 for x in w) for w in pts):
-        return False
-    # 0 in conv(pts)?  Caratheodory: check subsets of size <= s+1.
-    for size in range(1, min(len(pts), s + 1) + 1):
-        for subset in itertools.combinations(pts, size):
-            lifted = [w + (Fraction(1),) for w in subset]
-            if frac_rank(lifted) < size:
-                continue
-            coeffs = solve_in_span(lifted, (Fraction(0),) * s + (Fraction(1),))
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                return False
-    return True
+    return not cone_contains((0,) * s + (1,), [w + (1,) for w in weights])
 
 
 def pairing(d, weight):
@@ -225,6 +218,12 @@ def kirwan_count(action, d):
         raise RankUnsupported("counting is implemented for rank one")
     if not check_stable_equals_semistable(action):
         raise InvalidAction("counting requires stable = semistable")
+    return _count(action, d)
+
+
+def _count(action, d):
+    """kirwan_count for a rank-one action already known to have
+    stable = semistable."""
     d = tuple(Fraction(x) for x in d)
     if d[0] <= 0:
         raise InvalidAction("the degree must be positive")
@@ -299,13 +298,21 @@ def qh_presentation(action, degree_bound):
         raise RankUnsupported("presentations are implemented for rank one")
     ell = math.lcm(*[abs(w[0]) for w in action.weights])
     bound = Fraction(degree_bound)
+    if math.floor(bound * ell) > PRESENTATION_DEGREE_GUARD:
+        raise TooLarge(
+            f"presentation limited to {PRESENTATION_DEGREE_GUARD} degrees "
+            f"(degree bound times lcm of the weights)")
+    # stable = semistable is a property of the action: check it once,
+    # and only when some degree is visited
+    if Fraction(1, ell) <= bound and not check_stable_equals_semistable(action):
+        raise InvalidAction("counting requires stable = semistable")
     relations = []
     ring_rel = None
     t = 1
     while Fraction(t, ell) <= bound:
         d = (Fraction(t, ell),)
         try:
-            rel = kirwan_count(action, d)
+            rel = _count(action, d)
         except UnstableSector:
             t += 1
             continue

@@ -1,9 +1,11 @@
-"""Exact integer/rational linear algebra used by the cone and counting
-modules: rank, linear solving, Smith and Hermite normal forms, rational
-cone membership and extremal-ray filtering.
+"""Exact integer linear algebra used by the cone and counting modules:
+rank and determinant by fraction-free (Bareiss) elimination, Smith and
+Hermite normal forms, cone membership and extremal-ray filtering.
 
-Everything works on plain Python ints and fractions.Fraction; no floats
-anywhere.
+Rank, primitive vectors and cone membership accept Fraction entries
+and clear their denominators once per vector, after which everything
+runs over Python ints; only the inverse behind lattice_equivalent uses
+Fractions.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -13,96 +15,91 @@ import math
 from fractions import Fraction
 
 
-def frac_rank(rows):
-    """Rank of a matrix given as a list of rows (ints or Fractions)."""
-    mat = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
+def _integral(vec):
+    """``vec`` scaled by a positive integer into a tuple of ints.
+
+    Positive scaling keeps ranks, spans and cone membership, so callers
+    may hand in Fractions and work over the integers from here on.
+    """
+    if all(type(x) is int for x in vec):
+        return tuple(vec)
+    fracs = [Fraction(x) for x in vec]
+    denom = math.lcm(*[f.denominator for f in fracs])
+    return tuple(int(f * denom) for f in fracs)
+
+
+def _bareiss(rows):
+    """Fraction-free (Bareiss) row echelon form of integer rows.
+
+    Returns the pivot columns, the last pivot and the sign of the row
+    permutation.  Every intermediate entry is a minor of the input, so
+    each division is exact, and on a square matrix of full rank the
+    sign times the last pivot is the determinant.
+    """
+    a = [list(row) for row in rows]
+    m = len(a)
+    cols = len(a[0]) if a else 0
+    pivots = []
+    prev = sign = 1
     for j in range(cols):
-        piv = None
-        for i in range(rank, len(mat)):
-            if mat[i][j] != 0:
-                piv = i
-                break
+        rank = len(pivots)
+        piv = next((i for i in range(rank, m) if a[i][j]), None)
         if piv is None:
             continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][j]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for i in range(len(mat)):
-            if i != rank and mat[i][j] != 0:
-                f = mat[i][j]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
+        if piv != rank:
+            a[rank], a[piv] = a[piv], a[rank]
+            sign = -sign
+        top = a[rank]
+        p = top[j]
+        for i in range(rank + 1, m):
+            row = a[i]
+            f = row[j]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        pivots.append(j)
+    return pivots, prev, sign
 
 
-def solve_in_span(vectors, target):
-    """Coefficients writing ``target`` over the given vectors, or None.
-
-    The vectors must be linearly independent; the coefficient tuple is
-    then unique when it exists.
-    """
-    m = len(target)
-    k = len(vectors)
-    aug = [[Fraction(vec[i]) for vec in vectors] + [Fraction(target[i])]
-           for i in range(m)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        piv = None
-        for i in range(row, m):
-            if aug[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None  # dependent, caller guarantees this cannot happen
-        aug[row], aug[piv] = aug[piv], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [x * inv for x in aug[row]]
-        for i in range(m):
-            if i != row and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[row])]
-        pivots.append(col)
-        row += 1
-    for i in range(row, m):
-        if aug[i][k] != 0:
-            return None
-    return tuple(aug[i][k] for i in range(k))
+def frac_rank(rows):
+    """Rank of a matrix given as a list of rows (ints or Fractions)."""
+    return len(_bareiss([_integral(row) for row in rows])[0])
 
 
 def cone_contains(target, generators):
     """Exact membership of ``target`` in the rational cone of the generators.
 
-    Uses the conic Caratheodory theorem: a point of the cone lies in
-    the cone over some linearly independent subset, so it suffices to
-    solve the square-ish systems for all such subsets.
+    By the conic Caratheodory theorem a point of the cone lies in the
+    cone over a linearly independent subset of the generators, which
+    extends to a basis of their span with zero coefficients.  So after
+    an integer rank test for the span, only the bases are tried; each
+    is read on r pivot coordinates (r the rank), where the signs of
+    its coefficients come from integer determinants by Cramer's rule.
     """
-    target = tuple(Fraction(x) for x in target)
-    if all(x == 0 for x in target):
+    target = _integral(target)
+    if not any(target):
         return True
-    gens = [tuple(Fraction(x) for x in g) for g in generators]
-    gens = [g for g in gens if any(x != 0 for x in g)]
+    gens = [g for g in map(_integral, generators) if any(g)]
     if not gens:
         return False
-    maxsize = min(len(gens), frac_rank(gens))
-    for size in range(1, maxsize + 1):
-        for subset in itertools.combinations(gens, size):
-            if frac_rank(subset) < size:
-                continue
-            coeffs = solve_in_span(subset, target)
-            if coeffs is not None and all(c >= 0 for c in coeffs):
-                return True
+    cols = _bareiss(gens)[0]
+    rank = len(cols)
+    if len(_bareiss(gens + [target])[0]) > rank:
+        return False
+    # projecting onto the pivot coordinates is injective on the span
+    t = tuple(target[j] for j in cols)
+    gens = [tuple(g[j] for j in cols) for g in gens]
+    for basis in itertools.combinations(gens, rank):
+        d = det(basis)
+        if d and all(d * det(basis[:i] + (t,) + basis[i + 1:]) >= 0
+                     for i in range(rank)):
+            return True
     return False
 
 
 def primitive(vec):
     """The primitive integer vector on the ray of ``vec`` (nonzero input)."""
-    fracs = [Fraction(x) for x in vec]
-    denom = math.lcm(*[f.denominator for f in fracs])
-    ints = [int(f * denom) for f in fracs]
-    g = math.gcd(*[abs(x) for x in ints])
+    ints = _integral(vec)
+    g = math.gcd(*ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in ints)
@@ -160,37 +157,36 @@ def smith_normal_form(mat):
         a[i] = [-x for x in a[i]]
         U[i] = [-x for x in U[i]]
 
-    t = 0
-    while t < min(r, c):
-        # locate a smallest nonzero entry in the trailing block
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if a[t][t] < 0:
-            negate_row(t)
-        dirty = False
-        for i in range(t + 1, r):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
+    def reduce_from(t):
+        # pivot on a smallest nonzero entry of the trailing block and
+        # clear its row and column, until the block is diagonal
+        while t < min(r, c):
+            best = None
+            for i in range(t, r):
+                for j in range(t, c):
+                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
+                        best = (i, j)
+            if best is None:
+                return
+            swap_rows(t, best[0])
+            swap_cols(t, best[1])
+            if a[t][t] < 0:
+                negate_row(t)
+            dirty = False
+            for i in range(t + 1, r):
                 if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, c):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
+                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    if a[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, c):
                 if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        t += 1
+                    add_col(t, j, -(a[t][j] // a[t][t]))
+                    if a[t][j] != 0:
+                        dirty = True
+            if not dirty:
+                t += 1
 
+    reduce_from(0)
     # enforce the divisibility chain d_t | d_{t+1}
     changed = True
     while changed:
@@ -199,36 +195,8 @@ def smith_normal_form(mat):
             di, dj = a[i][i], a[i + 1][i + 1]
             if di and dj and dj % di != 0:
                 add_col(i + 1, i, 1)
-                # re-run elimination from position i
+                reduce_from(i)
                 changed = True
-                t = i
-                while t < min(r, c):
-                    best = None
-                    for x in range(t, r):
-                        for y in range(t, c):
-                            if a[x][y] != 0 and (
-                                    best is None
-                                    or abs(a[x][y]) < abs(a[best[0]][best[1]])):
-                                best = (x, y)
-                    if best is None:
-                        break
-                    swap_rows(t, best[0])
-                    swap_cols(t, best[1])
-                    if a[t][t] < 0:
-                        negate_row(t)
-                    dirty = False
-                    for x in range(t + 1, r):
-                        if a[x][t] != 0:
-                            add_row(t, x, -(a[x][t] // a[t][t]))
-                            if a[x][t] != 0:
-                                dirty = True
-                    for y in range(t + 1, c):
-                        if a[t][y] != 0:
-                            add_col(t, y, -(a[t][y] // a[t][t]))
-                            if a[t][y] != 0:
-                                dirty = True
-                    if not dirty:
-                        t += 1
                 break
     return U, a, V
 
@@ -269,29 +237,9 @@ def row_hermite_form(rows):
 
 
 def det(mat):
-    """Determinant of a square integer/Fraction matrix, exactly."""
-    a = [[Fraction(x) for x in row] for row in mat]
-    k = len(a)
-    sign = 1
-    out = Fraction(1)
-    for j in range(k):
-        piv = None
-        for i in range(j, k):
-            if a[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            return Fraction(0)
-        if piv != j:
-            a[j], a[piv] = a[piv], a[j]
-            sign = -sign
-        out *= a[j][j]
-        inv = 1 / a[j][j]
-        for i in range(j + 1, k):
-            if a[i][j] != 0:
-                f = a[i][j] * inv
-                a[i] = [x - f * y for x, y in zip(a[i], a[j])]
-    return sign * out
+    """Determinant of a square integer matrix, by Bareiss elimination."""
+    pivots, last, sign = _bareiss(mat)
+    return sign * last if len(pivots) == len(mat) else 0
 
 
 def _invert(mat):
@@ -348,9 +296,10 @@ def lattice_equivalent(rays_a, rays_b):
              for i in range(d)]
         if any(x.denominator != 1 for row in U for x in row):
             continue
+        U = [[int(x) for x in row] for row in U]
         if abs(det(U)) != 1:
             continue
-        mapped = {tuple(int(sum(U[i][k] * a[k] for k in range(d)))
+        mapped = {tuple(sum(U[i][k] * a[k] for k in range(d))
                         for i in range(d)) for a in A}
         if mapped == set(B):
             return True

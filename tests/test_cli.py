@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -25,6 +26,16 @@ class TestKirwanCommand:
         assert json.loads(json.dumps(data)) == data
         degrees = [r["degree"] for r in data["relations"]]
         assert degrees == ["1/2", "1", "3/2", "2"]
+
+    def test_degree_guard_exits_two_at_once(self, capsys):
+        start = time.perf_counter()
+        assert main(["kirwan", "--weights", "1,2",
+                     "--degree-bound", "1000000"]) == 2
+        assert time.perf_counter() - start < 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestStrataCommand:

@@ -6,9 +6,11 @@ from treelevel.errors import (
     EmptySector,
     InvalidAction,
     RankUnsupported,
+    TooLarge,
     UnstableSector,
 )
 from treelevel.kirwan import (
+    PRESENTATION_DEGREE_GUARD,
     TorusAction,
     check_stable_equals_semistable,
     is_semistable,
@@ -226,3 +228,18 @@ class TestPresentation:
         twisted = [r for r in pres.relations if r.sector.twisted]
         assert len(twisted) == 1
         assert twisted[0].monomial() == "2*xi^3"
+
+    def test_wall_action_checked_only_when_a_degree_is_visited(self):
+        wall = TorusAction([(1,), (2,)], (0,))
+        with pytest.raises(InvalidAction):
+            qh_presentation(wall, 1)
+        pres = qh_presentation(wall, 0)
+        assert pres.relations == [] and pres.ring_relation is None
+
+    def test_degree_guard(self):
+        # lcm(1, 2) = 2 degrees per unit of the bound
+        bound = Fraction(PRESENTATION_DEGREE_GUARD, 2)
+        with pytest.raises(TooLarge):
+            qh_presentation(teardrop(), bound + Fraction(1, 2))
+        with pytest.raises(TooLarge):
+            qh_presentation(TorusAction([(10 ** 6,), (10 ** 6 - 1,)], (1,)), 1)
