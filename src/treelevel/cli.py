@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import cohft, divrel, kirwan, selftest
 from .cones import cone_summary
-from .errors import TreelevelError
+from .errors import InvalidArgument, TreelevelError
 from .graphs import MarkedGraph
 from .series import SeriesRing
 from .strata import (
@@ -175,10 +175,19 @@ def cmd_cohft(args):
     return 0 if ok else 1
 
 
+def _parse(convert, raw, option):
+    try:
+        return convert(raw)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidArgument(f"{option}: cannot parse {raw!r}") from None
+
+
 def cmd_kirwan(args):
-    weights = [(int(w),) for w in args.weights.split(",")]
-    action = kirwan.TorusAction(weights, (Fraction(args.theta),))
-    pres = kirwan.qh_presentation(action, Fraction(args.degree_bound))
+    weights = [(_parse(int, w, "--weights"),) for w in args.weights.split(",")]
+    theta = _parse(Fraction, args.theta, "--theta")
+    bound = _parse(Fraction, args.degree_bound, "--degree-bound")
+    action = kirwan.TorusAction(weights, (theta,))
+    pres = kirwan.qh_presentation(action, bound)
     if args.json:
         out = {
             "weights": [w[0] for w in action.weights],

@@ -53,6 +53,10 @@ class TooLarge(TreelevelError):
     """Enumeration request exceeds the resource guard."""
 
 
+class InvalidArgument(TreelevelError):
+    """A command-line value does not parse."""
+
+
 class NoColoredVertex(TreelevelError):
     pass
 

@@ -11,7 +11,12 @@ leg 0 crosses the colored level exactly once.  A rooted colored tree is
 the type of a scaled parametrized curve, with a root vertex in place of
 leg 0.
 
-Values are immutable after construction; all operations here are pure.
+Values are immutable after construction: ``legs``, ``genus`` and
+``color`` are read-only mappings over dicts built in the constructor,
+and rebinding an attribute raises ``AttributeError``.  So a graph that
+passed :func:`validate` stays valid, and :func:`require_valid` runs the
+full check once per value, on its first call.  All operations here are
+pure.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 import itertools
 import json
 from enum import Enum
+from types import MappingProxyType
 
 from .errors import InvalidGraph, KindMismatch, TooLarge
 
@@ -51,12 +57,16 @@ class MarkedGraph:
     rooted forests.  ``edges`` is a sequence of unordered vertex-id
     pairs; the given order is kept and edge indices refer to it.
     ``legs`` maps leg label to the vertex carrying it.
+
+    ``legs``, ``genus`` and ``color`` are read-only mappings and no
+    attribute can be rebound after construction.
     """
 
-    __slots__ = ("kind", "vertex_ids", "genus", "color", "edges", "legs", "root")
+    __slots__ = ("kind", "vertex_ids", "genus", "color", "edges", "legs",
+                 "root", "_valid")
 
     def __init__(self, kind, vertices, edges=(), legs=None, root=None):
-        self.kind = Kind(kind)
+        kind = Kind(kind)
         genus = {}
         color = {}
         ids = []
@@ -67,23 +77,39 @@ class MarkedGraph:
         for v, decor in items:
             v = int(v)
             ids.append(v)
-            if self.kind is Kind.MODULAR:
+            if kind is Kind.MODULAR:
                 genus[v] = 0 if decor is None else int(decor)
-            elif self.kind in COLORED_KINDS:
+            elif kind in COLORED_KINDS:
                 if decor is None:
                     raise InvalidGraph(f"vertex {v}: colored kinds need a color")
                 color[v] = Color(decor)
         if len(set(ids)) != len(ids):
             raise InvalidGraph("duplicate vertex ids")
-        self.vertex_ids = tuple(sorted(ids))
-        self.genus = genus
-        self.color = color
-        self.edges = tuple(
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "vertex_ids", tuple(sorted(ids)))
+        init(self, "genus", MappingProxyType(genus))
+        init(self, "color", MappingProxyType(color))
+        init(self, "edges", tuple(
             (int(a), int(b)) if int(a) <= int(b) else (int(b), int(a))
             for a, b in edges
-        )
-        self.legs = {int(l): int(v) for l, v in (legs or {}).items()}
-        self.root = None if root is None else int(root)
+        ))
+        init(self, "legs", MappingProxyType(
+            {int(l): int(v) for l, v in (legs or {}).items()}))
+        init(self, "root", None if root is None else int(root))
+        # set by require_valid once validate() found no problem
+        init(self, "_valid", False)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MarkedGraph is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"MarkedGraph is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        decor = self.genus or self.color or dict.fromkeys(self.vertex_ids)
+        return (MarkedGraph, (self.kind, dict(decor), self.edges,
+                              dict(self.legs), self.root))
 
     # -- basic accessors -------------------------------------------------
 
@@ -101,6 +127,19 @@ class MarkedGraph:
 
     def valence(self, v):
         return self.degree(v) + len(self.legs_at(v))
+
+    def valences(self):
+        """Valence of every vertex, in one pass over the edges and legs.
+
+        Edges and legs must reference vertices of the graph.
+        """
+        val = dict.fromkeys(self.vertex_ids, 0)
+        for a, b in self.edges:
+            val[a] += 1
+            val[b] += 1
+        for v in self.legs.values():
+            val[v] += 1
+        return val
 
     def neighbors(self, v):
         """Adjacent vertices with multiplicity, loops excluded."""
@@ -122,14 +161,25 @@ class MarkedGraph:
                 skip -= 1
         raise KeyError(pair)
 
-    def components(self):
+    def adjacency(self):
+        """Neighbors of every vertex with multiplicity, loops excluded.
+
+        Built afresh on each call; the methods taking an ``adj``
+        argument accept it so that one caller can build it once.
+        """
+        adj = {v: [] for v in self.vertex_ids}
+        for a, b in self.edges:
+            if a != b:
+                adj[a].append(b)
+                adj[b].append(a)
+        return adj
+
+    def components(self, adj=None):
         """Vertex sets of connected components, each sorted."""
+        if adj is None:
+            adj = self.adjacency()
         seen = set()
         comps = []
-        adj = {v: set() for v in self.vertex_ids}
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
         for v in self.vertex_ids:
             if v in seen:
                 continue
@@ -139,7 +189,7 @@ class MarkedGraph:
                 if w in comp:
                     continue
                 comp.add(w)
-                stack.extend(adj[w] - comp)
+                stack.extend(x for x in adj[w] if x not in comp)
             seen |= comp
             comps.append(sorted(comp))
         return comps
@@ -147,26 +197,24 @@ class MarkedGraph:
     def is_connected(self):
         return len(self.components()) <= 1
 
-    def is_forest(self):
+    def is_forest(self, adj=None):
         """True when there are no loops, parallel edges or cycles."""
         if any(a == b for a, b in self.edges):
             return False
         if len(set(self.edges)) != len(self.edges):
             return False
         # acyclic <=> every component has #edges = #vertices - 1
-        return len(self.edges) == len(self.vertex_ids) - len(self.components())
+        return (len(self.edges)
+                == len(self.vertex_ids) - len(self.components(adj)))
 
-    def path_vertices(self, u, v):
+    def path_vertices(self, u, v, adj=None):
         """Vertices along the unique simple path from u to v (inclusive).
 
         Only meaningful on forest graphs; raises KeyError when u and v
         are in different components.
         """
-        adj = {w: [] for w in self.vertex_ids}
-        for a, b in self.edges:
-            if a != b:
-                adj[a].append(b)
-                adj[b].append(a)
+        if adj is None:
+            adj = self.adjacency()
         prev = {u: None}
         queue = [u]
         while queue:
@@ -213,12 +261,12 @@ class MarkedGraph:
     def __repr__(self):
         parts = [f"{self.kind.value}", f"V={list(self.vertex_ids)}"]
         if self.genus and any(self.genus.values()):
-            parts.append(f"g={self.genus}")
+            parts.append(f"g={dict(self.genus)}")
         if self.color:
             parts.append("colors={%s}" % ", ".join(
                 f"{v}:{c.value}" for v, c in sorted(self.color.items())))
         parts.append(f"E={list(self.edges)}")
-        parts.append(f"legs={self.legs}")
+        parts.append(f"legs={dict(self.legs)}")
         if self.root is not None:
             parts.append(f"root={self.root}")
         return "MarkedGraph(%s)" % ", ".join(parts)
@@ -249,26 +297,36 @@ class MarkedGraph:
 
     @classmethod
     def from_json_obj(cls, obj):
-        kind = Kind(obj["kind"])
-        verts = {}
-        for rec in obj["vertices"]:
-            if kind is Kind.MODULAR:
-                verts[rec["id"]] = rec.get("genus", 0)
-            elif kind in COLORED_KINDS:
-                verts[rec["id"]] = rec["color"]
-            else:
-                verts[rec["id"]] = None
-        return cls(
-            kind,
-            verts,
-            [tuple(e) for e in obj.get("edges", [])],
-            {int(l): v for l, v in obj.get("legs", {}).items()},
-            obj.get("root"),
-        )
+        """Parse the JSON form; any malformed input raises InvalidGraph."""
+        try:
+            kind = Kind(obj["kind"])
+            verts = {}
+            for rec in obj["vertices"]:
+                if kind is Kind.MODULAR:
+                    verts[rec["id"]] = rec.get("genus", 0)
+                elif kind in COLORED_KINDS:
+                    verts[rec["id"]] = rec["color"]
+                else:
+                    verts[rec["id"]] = None
+            return cls(
+                kind,
+                verts,
+                [tuple(e) for e in obj.get("edges", [])],
+                {int(l): v for l, v in obj.get("legs", {}).items()},
+                obj.get("root"),
+            )
+        except KeyError as err:
+            raise InvalidGraph(f"graph JSON is missing the key {err}") from None
+        except (TypeError, ValueError, AttributeError, OverflowError) as err:
+            raise InvalidGraph(f"malformed graph JSON: {err}") from None
 
     @classmethod
     def from_json(cls, text):
-        return cls.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as err:
+            raise InvalidGraph(f"graph file is not valid JSON: {err}") from None
+        return cls.from_json_obj(obj)
 
     def to_dot(self):
         """Graphviz source following the shading convention:
@@ -336,14 +394,14 @@ def _check_references(g, problems):
         problems.append(f"root {g.root} is not a vertex")
 
 
-def _monotone_path_problems(g, leg, top, problems):
+def _monotone_path_problems(g, leg, top, problems, adj):
     """Check the color pattern on the path from ``leg``'s vertex to ``top``.
 
     Exactly one colored vertex; zero scaling strictly before it and
     infinite scaling strictly after it.
     """
     try:
-        path = g.path_vertices(g.legs[leg], top)
+        path = g.path_vertices(g.legs[leg], top, adj)
     except KeyError:
         problems.append(f"leg {leg} disconnected from the root side")
         return
@@ -377,7 +435,10 @@ def _component_edge_rule(g, comp, problems, allowed_zero_infty=()):
 
 
 def validate(g):
-    """Return the list of violated invariants (empty when the graph is valid)."""
+    """Return the list of violated invariants (empty when the graph is valid).
+
+    Always the full check; :func:`require_valid` runs it once per value.
+    """
     problems = []
     _check_references(g, problems)
     if problems:
@@ -404,8 +465,9 @@ def validate(g):
                 problems.append(f"vertex {v} has negative genus")
         return problems
 
-    # tree kinds: forests only
-    if not g.is_forest():
+    # tree kinds: forests only; one adjacency serves every check below
+    adj = g.adjacency()
+    if not g.is_forest(adj):
         problems.append("tree kinds must be loop-free, multi-edge-free forests")
         return problems
     if problems:
@@ -414,7 +476,7 @@ def validate(g):
     if g.kind is Kind.ROOTED_FOREST:
         return problems
 
-    comps = g.components()
+    comps = g.components(adj)
     if g.kind is Kind.COLORED_TREE:
         v0 = g.legs[0]
         for comp in comps:
@@ -423,7 +485,7 @@ def validate(g):
                     problems.append("leg 0 sits on a zero-scaling vertex")
                 for l in g.legs:
                     if l != 0 and g.legs[l] in comp:
-                        _monotone_path_problems(g, l, v0, problems)
+                        _monotone_path_problems(g, l, v0, problems, adj)
                 _component_edge_rule(g, comp, problems)
             else:
                 cs = {g.color[v] for v in comp}
@@ -458,15 +520,15 @@ def validate(g):
             # colored tree with the attaching edge as its leg 0, or a
             # zero-only tree
             allowed = set()
-            for w in set(g.neighbors(r)):
-                sub = _subtree_vertices(g, r, w)
+            for w in set(adj[r]):
+                sub = _subtree_vertices(r, w, adj)
                 subcolors = {g.color[v] for v in sub}
                 if subcolors == {Color.ZERO}:
                     allowed.add((min(r, w), max(r, w)))
                     continue
                 for l, lv in g.legs.items():
                     if lv in sub:
-                        _monotone_path_problems(g, l, r, problems)
+                        _monotone_path_problems(g, l, r, problems, adj)
             for l, lv in g.legs.items():
                 if lv == r:
                     problems.append(
@@ -475,12 +537,8 @@ def validate(g):
     return problems
 
 
-def _subtree_vertices(g, root, child):
+def _subtree_vertices(root, child, adj):
     """Vertices of the subtree containing ``child`` once ``root`` is removed."""
-    adj = {v: set() for v in g.vertex_ids}
-    for a, b in g.edges:
-        adj[a].add(b)
-        adj[b].add(a)
     seen = {root, child}
     stack = [child]
     while stack:
@@ -494,9 +552,18 @@ def _subtree_vertices(g, root, child):
 
 
 def require_valid(g):
+    """Raise InvalidGraph unless ``g`` is valid.
+
+    The full :func:`validate` runs on the first call for a value; a
+    graph cannot change, so a success is recorded on it and later calls
+    return at once.  An invalid graph is checked again on every call.
+    """
+    if g._valid:
+        return
     problems = validate(g)
     if problems:
         raise InvalidGraph("; ".join(problems))
+    object.__setattr__(g, "_valid", True)
 
 
 def is_stable(g):
@@ -509,8 +576,9 @@ def is_stable(g):
     tree is unconstrained.
     """
     require_valid(g)
+    valences = g.valences()
     for v in g.vertex_ids:
-        val = g.valence(v)
+        val = valences[v]
         if g.kind is Kind.MODULAR:
             gen = g.genus[v]
             if gen == 0 and val < 3:

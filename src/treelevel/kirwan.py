@@ -30,6 +30,9 @@ from .linalg import cone_contains, frac_rank
 
 # qh_presentation visits degree_bound * lcm(weights) degrees; refuse more.
 PRESENTATION_DEGREE_GUARD = 10000
+# check_stable_equals_semistable tests all 2^k weight supports; refuse more
+# than this many weights.
+WEIGHT_COUNT_GUARD = 15
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,10 @@ def check_stable_equals_semistable(action):
     exactly a GIT wall (the zero character is the degenerate case,
     captured by the empty support).
     """
+    if action.k > WEIGHT_COUNT_GUARD:
+        raise TooLarge(
+            f"the stability check is limited to {WEIGHT_COUNT_GUARD} weights "
+            f"(it tests all 2^k weight supports), got {action.k}")
     s = action.rank
     for size in range(0, action.k + 1):
         for support in itertools.combinations(range(action.k), size):

@@ -33,16 +33,6 @@ from .graphs import (
 )
 
 
-def _rebuild(g, vertices, edges, legs, root):
-    if g.kind is Kind.MODULAR:
-        decor = {v: vertices[v] for v in vertices}
-    elif g.kind in COLORED_KINDS:
-        decor = {v: vertices[v] for v in vertices}
-    else:
-        decor = {v: None for v in vertices}
-    return MarkedGraph(g.kind, decor, edges, legs, root)
-
-
 def _vertex_decor(g):
     if g.kind is Kind.MODULAR:
         return dict(g.genus)
@@ -70,7 +60,7 @@ def collapse_edge(g, edge):
             raise ForbiddenCollapse("loops only occur on modular graphs")
         decor[a] = decor[a] + 1
         edges = [e for i, e in enumerate(g.edges) if i != edge]
-        return _rebuild(g, decor, edges, g.legs, g.root)
+        return MarkedGraph(g.kind, decor, edges, g.legs, g.root)
 
     if g.kind is Kind.MODULAR:
         merged_decor = g.genus[a] + g.genus[b]
@@ -101,7 +91,7 @@ def collapse_edge(g, edge):
             continue
         edges.append((rename(x), rename(y)))
     legs = {l: rename(v) for l, v in g.legs.items()}
-    out = _rebuild(g, decor, edges, legs, g.root)
+    out = MarkedGraph(g.kind, decor, edges, legs, g.root)
     require_valid(out)
     return out
 
@@ -141,7 +131,7 @@ def collapse_with_relations(g, center):
             continue
         edges.append((rename(x), rename(y)))
     legs = {l: rename(v) for l, v in g.legs.items()}
-    out = _rebuild(g, decor, edges, legs, g.root)
+    out = MarkedGraph(g.kind, decor, edges, legs, g.root)
     problems = validate(out)
     if problems:
         raise ForbiddenCollapse(
@@ -174,7 +164,7 @@ def cut_edge(g, edge, new_labels):
     legs = dict(g.legs)
     legs[int(l1)] = a
     legs[int(l2)] = b
-    out = _rebuild(g, _vertex_decor(g), edges, legs, g.root)
+    out = MarkedGraph(g.kind, _vertex_decor(g), edges, legs, g.root)
     require_valid(out)
     return out
 
@@ -205,10 +195,11 @@ def _depths(g, anchor):
 
 def _unstable_vertices(g):
     out = []
+    valences = g.valences()
     for v in g.vertex_ids:
         if g.kind in (Kind.ROOTED_FOREST, Kind.ROOTED_COLORED_TREE) and v == g.root:
             continue
-        val = g.valence(v)
+        val = valences[v]
         if g.kind is Kind.MODULAR:
             if g.genus[v] == 0 and val < 3:
                 out.append(v)
@@ -233,7 +224,7 @@ def _remove_valence_one(g, v):
     decor = _vertex_decor(g)
     decor.pop(v)
     edges = [e for i, e in enumerate(g.edges) if i != edges_at[0]]
-    return _rebuild(g, decor, edges, g.legs, g.root)
+    return MarkedGraph(g.kind, decor, edges, g.legs, g.root)
 
 
 def _fuse_valence_two(g, v):
@@ -259,7 +250,7 @@ def _fuse_valence_two(g, v):
         # two legs and no edge: a whole component fell below the minimum
         raise MinimumMarkings(
             f"component at vertex {v} cannot absorb its markings")
-    return _rebuild(g, decor, edges, legs, g.root)
+    return MarkedGraph(g.kind, decor, edges, legs, g.root)
 
 
 def forget_tail(g, leg):
@@ -286,7 +277,7 @@ def forget_tail(g, leg):
 
     legs = dict(g.legs)
     legs.pop(leg)
-    cur = _rebuild(g, _vertex_decor(g), g.edges, legs, g.root)
+    cur = MarkedGraph(g.kind, _vertex_decor(g), g.edges, legs, g.root)
 
     while True:
         unstable = _unstable_vertices(cur)
@@ -320,7 +311,7 @@ def relabel_legs(g, mapping):
         new[nl] = v
     if g.kind in COLORED_KINDS and (0 in g.legs) != (0 in new):
         raise DuplicateLegLabel("relabeling must preserve the root leg 0")
-    out = _rebuild(g, _vertex_decor(g), g.edges, new, g.root)
+    out = MarkedGraph(g.kind, _vertex_decor(g), g.edges, new, g.root)
     require_valid(out)
     return out
 

@@ -16,6 +16,7 @@ its independent check lives in :mod:`treelevel.bruteforce`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -46,7 +47,13 @@ DEFAULT_MAX_N = 7
 
 def _max_n():
     env = os.environ.get("MODULI_MAX_N")
-    return int(env) if env else DEFAULT_MAX_N
+    if not env:
+        return DEFAULT_MAX_N
+    try:
+        return int(env)
+    except ValueError:
+        raise TooLarge(
+            f"MODULI_MAX_N={env!r} is not an integer enumeration guard") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -123,14 +130,10 @@ def _partitions_min2(legset):
     yield from set_partitions(legset, min_block=2)
 
 
-_M0_CACHE = {}
-
-
+@functools.cache
 def _m0_rooted(legset):
-    """Stable bubble trees over ``legset`` hanging from one upward edge."""
-    legset = frozenset(legset)
-    if legset in _M0_CACHE:
-        return _M0_CACHE[legset]
+    """Stable bubble trees over the frozenset ``legset`` hanging from one
+    upward edge."""
     out = []
     for own in subsets(legset):
         rest = legset - own
@@ -139,20 +142,15 @@ def _m0_rooted(legset):
                 continue
             for combo in itertools.product(*[_m0_rooted(b) for b in blocks]):
                 out.append(("b", own, combo))
-    _M0_CACHE[legset] = out
     return out
 
 
-_MULT_CACHE = {}
-
-
+@functools.cache
 def _mult_rooted(legset):
-    """Stable colored trees over ``legset`` hanging from an upward root edge."""
-    legset = frozenset(legset)
+    """Stable colored trees over the frozenset ``legset`` hanging from an
+    upward root edge."""
     if not legset:
         raise InvalidGraph("a colored branch must carry at least one leg")
-    if legset in _MULT_CACHE:
-        return _MULT_CACHE[legset]
     out = []
     for own in subsets(legset):
         rest = legset - own
@@ -162,7 +160,6 @@ def _mult_rooted(legset):
     for blocks in set_partitions(legset, min_blocks=2):
         for combo in itertools.product(*[_mult_rooted(b) for b in blocks]):
             out.append(("i", frozenset(), combo))
-    _MULT_CACHE[legset] = out
     return out
 
 
@@ -268,8 +265,9 @@ def stratum_dimension(g, space):
     if not is_stable(g):
         raise InvalidGraph("dimension is defined for stable types")
     total = 0
+    valences = g.valences()
     for v in g.vertex_ids:
-        k = g.valence(v)
+        k = valences[v]
         if g.kind is Kind.MODULAR:
             total += 3 * g.genus[v] - 3 + k
         elif g.kind is Kind.ROOTED_FOREST:

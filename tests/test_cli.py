@@ -10,6 +10,14 @@ from treelevel.graphs import MarkedGraph
 from treelevel.selftest import singular_cone_tree
 
 
+def assert_one_line_error(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 class TestKirwanCommand:
     def test_teardrop_prints_presentation(self, capsys):
         assert main(["kirwan", "--weights", "1,2", "--theta", "1",
@@ -159,6 +167,36 @@ class TestUsage:
 
     def test_guard_maps_to_exit_two(self, capsys):
         assert main(["strata", "--space", "mult", "--n", "9"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["kirwan", "--weights", "1,2", "--degree-bound", "abc"],
+        ["kirwan", "--weights", "1,x"],
+        ["kirwan", "--weights", "1,2", "--theta", "1/0"],
+        ["kirwan", "--weights", ",".join(["1"] * 16)],
+    ], ids=["degree-bound", "weights", "theta", "weight-count"])
+    def test_bad_kirwan_arguments_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("text", [
+        "{bad",
+        json.dumps({"kind": "colored_tree", "vertices": [{"id": 0}],
+                    "legs": {"0": 0}}),
+        json.dumps({"kind": "weird", "vertices": []}),
+        json.dumps({"kind": "colored_tree",
+                    "vertices": [{"id": 0, "color": "red"}],
+                    "legs": {"0": 0}}),
+    ], ids=["not-json", "missing-color", "unknown-kind", "unknown-color"])
+    def test_bad_graph_file_exits_two(self, text, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(text)
+        assert main(["cone", "--graph", str(path)]) == 2
+        assert_one_line_error(capsys)
+
+    def test_bad_guard_value_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setenv("MODULI_MAX_N", "abc")
+        assert main(["strata", "--space", "mult", "--n", "3"]) == 2
+        assert_one_line_error(capsys)
 
     def test_module_entry_point(self):
         proc = subprocess.run(

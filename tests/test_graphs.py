@@ -1,8 +1,13 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from treelevel import graphs
 from treelevel.errors import InvalidGraph, KindMismatch, TooLarge
 from treelevel.graphs import (
     Color,
@@ -13,11 +18,20 @@ from treelevel.graphs import (
     is_isomorphic,
     is_stable,
     modular_graph,
+    require_valid,
     rooted_colored_tree,
     rooted_forest,
     validate,
 )
-from treelevel.strata import FM, M0, MULT, SCALED, enumerate_strata
+from treelevel.strata import (
+    FM,
+    M0,
+    MULT,
+    SCALED,
+    enumerate_strata,
+    stratum_codimension,
+    stratum_dimension,
+)
 
 from util import bijection_isomorphic
 
@@ -275,7 +289,145 @@ class TestSerialization:
                   rooted_forest([0, 1], [(0, 1)], {1: 1, 2: 1}, root=0)):
             assert MarkedGraph.from_json(g.to_json()) == g
 
+    @pytest.mark.parametrize("obj", [
+        [],
+        {"vertices": []},
+        {"kind": "weird", "vertices": []},
+        {"kind": "colored_tree", "vertices": [{"id": 0}], "legs": {"0": 0}},
+        {"kind": "colored_tree", "vertices": [{"id": 0, "color": "red"}]},
+        {"kind": "modular", "vertices": [{"id": "x"}]},
+        {"kind": "modular", "vertices": [{"id": 0}], "edges": [[0]]},
+        {"kind": "modular", "vertices": [{"id": 0}], "legs": {"a": 0}},
+        {"kind": "modular", "vertices": [{"id": 0}], "legs": [1]},
+        {"kind": "rooted_forest", "vertices": [3]},
+        {"kind": "modular", "vertices": [{"id": 0, "genus": 1e400}]},
+    ])
+    def test_malformed_json_is_invalid_graph(self, obj):
+        with pytest.raises(InvalidGraph):
+            MarkedGraph.from_json_obj(obj)
+
+    def test_bad_json_text_is_invalid_graph(self):
+        with pytest.raises(InvalidGraph):
+            MarkedGraph.from_json("{bad")
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+        | st.sampled_from([k.value for k in Kind] + [c.value for c in Color]
+                          + ["kind", "vertices", "edges", "legs", "root",
+                             "id", "genus", "color", "0", "1"]),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(
+            st.sampled_from(["kind", "vertices", "edges", "legs", "root",
+                             "id", "genus", "color", "0", "1"]),
+            inner, max_size=5),
+        max_leaves=20))
+    def test_fuzzed_json_parses_or_is_invalid_graph(self, obj):
+        try:
+            g = MarkedGraph.from_json_obj(obj)
+        except InvalidGraph:
+            return
+        validate(g)  # a parsed value can always be checked
+
     def test_dot_output_mentions_all_parts(self):
         dot = sep_divisor().to_dot()
         assert "v0 -- v1" in dot and "leg0" in dot
         assert "gray25" in dot and "gray60" in dot
+
+
+class TestImmutability:
+    def test_attributes_cannot_be_rebound(self):
+        g = sep_divisor()
+        for name, value in (("root", 1), ("legs", {}), ("edges", ()),
+                            ("kind", Kind.MODULAR), ("_valid", True),
+                            ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(g, name, value)
+        with pytest.raises(AttributeError):
+            del g.edges
+        assert g == sep_divisor()
+
+    def test_mappings_are_read_only(self):
+        g = sep_divisor()
+        with pytest.raises(TypeError):
+            g.legs[1] = 0
+        with pytest.raises(TypeError):
+            g.color[0] = Color.ZERO
+        with pytest.raises(TypeError):
+            modular_graph({0: 0}, [], {1: 0, 2: 0, 3: 0}).genus[0] = 1
+        assert g == sep_divisor()
+
+    def test_constructor_copies_its_inputs(self):
+        colors = {0: Color.COLORED}
+        legs = {0: 0, 1: 0}
+        g = colored_tree(colors, [], legs)
+        colors[0] = Color.ZERO
+        legs[2] = 0
+        assert g.color[0] is Color.COLORED and sorted(g.legs) == [0, 1]
+
+    def test_repr_prints_plain_dicts(self):
+        text = repr(modular_graph({0: 1}, [(0, 0)], {1: 0}))
+        assert "legs={1: 0}" in text and "g={0: 1}" in text
+        assert "mappingproxy" not in text
+
+    def test_copy_and_pickle_round_trip(self):
+        for g in (sep_divisor(), modular_graph({0: 1}, [(0, 0)], {1: 0}),
+                  rooted_forest([0, 1], [(0, 1)], {1: 1, 2: 1}, root=0)):
+            for h in (copy.copy(g), copy.deepcopy(g),
+                      pickle.loads(pickle.dumps(g))):
+                assert h == g and hash(h) == hash(g) and repr(h) == repr(g)
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Count calls of graphs.validate, including those of require_valid."""
+    calls = []
+
+    def counting(g):
+        calls.append(g)
+        return validate(g)
+
+    monkeypatch.setattr(graphs, "validate", counting)
+    return calls
+
+
+class TestValidateOnce:
+    @pytest.mark.parametrize("space", [MULT(4), SCALED(3), FM(3), M0(5)],
+                             ids=str)
+    def test_stratum_checked_once(self, space, validate_calls):
+        for stratum in enumerate_strata(space)[::7]:
+            g = MarkedGraph.from_json_obj(stratum.to_json_obj())
+            del validate_calls[:]
+            canonical_key(g)
+            stratum_dimension(g, space)
+            stratum_codimension(g, space)
+            is_stable(g)
+            assert validate_calls == [g]
+
+    def test_invalid_graph_raises_every_time(self, validate_calls):
+        g = colored_tree({0: Color.COLORED}, [(0, 0)], {0: 0, 1: 0})
+        for attempt in range(1, 4):
+            with pytest.raises(InvalidGraph):
+                require_valid(g)
+            assert len(validate_calls) == attempt
+        with pytest.raises(InvalidGraph):
+            canonical_key(g)
+
+    def test_equal_values_are_checked_separately(self, validate_calls):
+        a, b = sep_divisor(), sep_divisor()
+        require_valid(a)
+        require_valid(b)
+        require_valid(a)
+        assert validate_calls == [a, b] and validate_calls[0] is a
+
+
+class TestValences:
+    @pytest.mark.parametrize("space", [M0(6), FM(4), MULT(4), SCALED(4)],
+                             ids=str)
+    def test_one_pass_matches_valence(self, space):
+        for g in enumerate_strata(space):
+            assert g.valences() == {v: g.valence(v) for v in g.vertex_ids}
+
+    def test_loops_count_twice(self):
+        g = modular_graph({0: 1, 1: 0}, [(0, 0), (0, 1)], {1: 1, 2: 1})
+        assert g.valences() == {0: 3, 1: 3}

@@ -11,6 +11,7 @@ from treelevel.errors import (
 )
 from treelevel.kirwan import (
     PRESENTATION_DEGREE_GUARD,
+    WEIGHT_COUNT_GUARD,
     TorusAction,
     check_stable_equals_semistable,
     is_semistable,
@@ -61,6 +62,15 @@ class TestSemistability:
     def test_stable_equals_semistable(self):
         assert check_stable_equals_semistable(projective(4))
         assert check_stable_equals_semistable(teardrop())
+
+    def test_weight_count_guard(self):
+        act = projective(WEIGHT_COUNT_GUARD + 1)
+        with pytest.raises(TooLarge):
+            check_stable_equals_semistable(act)
+        with pytest.raises(TooLarge):
+            qh_presentation(act, 1)
+        with pytest.raises(TooLarge):
+            kirwan_count(act, (1,))
 
     def test_rank_two_wall(self):
         # character on the ray of a single weight: a wall in rank two
