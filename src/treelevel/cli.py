@@ -113,6 +113,8 @@ def cmd_divisors(args):
 def _parse_terms(ring, raw):
     terms = []
     for item in raw:
+        if not isinstance(item, dict):
+            raise InvalidArgument(f"a term must be a JSON object, not {item!r}")
         coeff = ring.scalar(Fraction(str(item.get("coeff", "1"))))
         qexp = Fraction(str(item.get("q", "0")))
         if qexp:
@@ -121,28 +123,27 @@ def _parse_terms(ring, raw):
     return terms
 
 
-def _load_cohft_spec(path):
-    with open(path) as fh:
-        return json.load(fh)
+def _nonnegative(value, name):
+    if value < 0:
+        raise InvalidArgument(f"{name} must be nonnegative, not {value}")
+    return value
 
 
-def cmd_cohft(args):
-    spec = _load_cohft_spec(args.spec)
+def _cohft_inputs(args):
+    """Parse and check the spec file into the arguments of the check."""
+    with open(args.spec) as fh:
+        spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise InvalidArgument("the spec must be a JSON object")
     order = args.order if args.order is not None else spec.get("order", 6)
     ring = SeriesRing(
         tvars=spec.get("tvars") or [f"t{i}" for i in
                                     range(len(spec.get("basis_v",
                                                        spec.get("basis", []))))],
         q_denominator=spec.get("q_denominator", 1),
-        t_cap=order,
-        q_cap=Fraction(str(spec.get("q_cap", 0))),
+        t_cap=_nonnegative(order, "order"),
+        q_cap=_nonnegative(Fraction(str(spec.get("q_cap", 0))), "q_cap"),
     )
-    if args.cohft_command == "check-associativity":
-        alg = cohft.algebra_from_terms(
-            ring, tuple(spec["basis"]), _parse_terms(ring, spec["mu"]))
-        ok, wit = cohft.check_associativity(alg)
-        print("associativity:", "PASS" if ok else f"FAIL {wit}")
-        return 0 if ok else 1
     if args.cohft_command == "check-star-morphism":
         basis_v, basis_w = tuple(spec["basis_v"]), tuple(spec["basis_w"])
         alg_v = cohft.algebra_from_terms(ring, basis_v,
@@ -155,17 +156,39 @@ def cmd_cohft(args):
         phi = cohft.morphism_from_terms(
             ring, len(basis_v), len(basis_w),
             _parse_terms(ring, spec["phi"]), phi0=phi0)
-        v = None
         if spec.get("at_zero"):
             v = [ring.zero()] * len(basis_v)
-        pairs = [tuple(p) for p in spec["pairs"]] if "pairs" in spec else None
+        else:
+            v = cohft.generic_point(ring, len(basis_v))
+        pairs = [(i, j) for i, j in spec["pairs"]] if "pairs" in spec else None
+        return phi, alg_v, alg_w, v, pairs
+    alg = cohft.algebra_from_terms(
+        ring, tuple(spec["basis"]), _parse_terms(ring, spec["mu"]))
+    if args.cohft_command == "check-associativity":
+        return alg, cohft.generic_point(ring, alg.dim)
+    return alg, cohft.as_vector(ring, alg.dim, spec.get("xi", 1))
+
+
+def cmd_cohft(args):
+    _nonnegative(args.q_cap, "--q-cap")
+    try:
+        inputs = _cohft_inputs(args)
+    except KeyError as err:
+        raise InvalidArgument(f"{args.spec}: missing key {err}") from None
+    except (TreelevelError, TypeError, ValueError, ZeroDivisionError) as err:
+        raise InvalidArgument(f"{args.spec}: {err}") from None
+    if args.cohft_command == "check-associativity":
+        ok, wit = cohft.check_associativity(*inputs)
+        print("associativity:", "PASS" if ok else f"FAIL {wit}")
+        return 0 if ok else 1
+    if args.cohft_command == "check-star-morphism":
+        phi, alg_v, alg_w, v, pairs = inputs
         ok, wit = cohft.check_star_morphism(phi, alg_v, alg_w, v=v, pairs=pairs)
         print("star-morphism identity:", "PASS" if ok else f"FAIL {wit}")
         return 0 if ok else 1
     # solve-qde
-    alg = cohft.algebra_from_terms(
-        ring, tuple(spec["basis"]), _parse_terms(ring, spec["mu"]))
-    sol = cohft.solve_qde(alg, xi=spec.get("xi", 1), q_cap=args.q_cap)
+    alg, xi = inputs
+    sol = cohft.solve_qde(alg, xi=xi, q_cap=args.q_cap)
     ok = sol.residual_is_zero()
     print(f"fundamental solution through q^{args.q_cap} "
           f"(gauge: sigma q^(A0/hbar)); residual zero: {ok}")

@@ -22,6 +22,7 @@ from .combis import set_partitions
 from .errors import (
     CurvedMorphismUnsupported,
     DegenerateQDE,
+    InvalidArgument,
     MissingArity,
 )
 from .series import Series, SeriesRing, multinomial
@@ -36,13 +37,12 @@ def _as_series(ring, c):
 def as_vector(ring, dim, x):
     """Coerce a basis index, scalar list or series vector to a series vector."""
     if isinstance(x, int):
+        _check_indices((x,), dim, "basis")
         return tuple(ring.one() if i == x else ring.zero() for i in range(dim))
-    out = []
-    for entry in x:
-        out.append(_as_series(ring, entry))
+    out = tuple(_as_series(ring, entry) for entry in x)
     if len(out) != dim:
         raise ValueError("vector has the wrong length")
-    return tuple(out)
+    return out
 
 
 def generic_point(ring, dim):
@@ -52,54 +52,77 @@ def generic_point(ring, dim):
     return tuple(ring.t(i) for i in range(dim))
 
 
-def _apply_tensor(ring, dim_out, tensor, args):
-    """Evaluate a symmetric multilinear map stored by sorted index tuple.
+def _check_indices(indices, dim, what):
+    """Raise InvalidArgument unless every index is an int in range(dim)."""
+    for i in indices:
+        if not isinstance(i, int) or not 0 <= i < dim:
+            raise InvalidArgument(f"{what} index {i!r} is not in range({dim})")
 
-    ``tensor`` maps sorted input tuples to {output index: coefficient};
-    ``args`` is a sequence of series vectors.
+
+def _contraction(ring, args):
+    """Map a sorted index tuple ``key`` to the sum, over its distinct
+    orderings idx, of args[0][idx[0]] * ... * args[-1][idx[-1]] (zero
+    when len(key) != len(args)).
+
+    The sum is the first coordinate times the contraction of the
+    indices left with the later arguments, which is computed once per
+    call for all keys.  The ring caps are downward-closed in nonnegative
+    exponents, so truncated multiplication is associative and
+    distributive: this regrouping changes no coefficient.
     """
-    n = len(args)
+    memo = {(): ring.one()}
+    return lambda key: (_suffix_sum(ring, args, memo, key)
+                        if len(key) == len(args) else ring.zero())
+
+
+def _suffix_sum(ring, args, memo, key):
+    # A module-level function rather than a closure: a recursive closure
+    # is a reference cycle, which keeps ``memo`` alive until the cyclic
+    # garbage collector runs.
+    total = memo.get(key)
+    if total is None:
+        vec = args[len(args) - len(key)]
+        total = ring.zero()
+        for k, i in enumerate(key):
+            if (k and key[k - 1] == i) or vec[i].is_zero():
+                continue
+            total = total + vec[i] * _suffix_sum(ring, args, memo,
+                                                 key[:k] + key[k + 1:])
+        memo[key] = total
+    return total
+
+
+def _apply_tensor(ring, dim_out, tensor, args):
+    """Evaluate a map stored as {sorted inputs: {output index: coefficient}}."""
+    contract = _contraction(ring, args)
     out = [ring.zero() for _ in range(dim_out)]
-    dim_in = len(args[0]) if args else 0
-    for idx in itertools.product(range(dim_in), repeat=n):
-        val = tensor.get(tuple(sorted(idx)))
-        if not val:
-            continue
-        coeff = ring.one()
-        dead = False
-        for k, i in enumerate(idx):
-            entry = args[k][i]
-            if entry.is_zero():
-                dead = True
-                break
-            coeff = coeff * entry
-        if dead:
+    for key, val in tensor.items():
+        x = contract(key)
+        if x.is_zero():
             continue
         for j, c in val.items():
-            out[j] = out[j] + _as_series(ring, c) * coeff
+            out[j] = out[j] + _as_series(ring, c) * x
     return tuple(out)
 
 
-def _apply_scalar_tensor(ring, tensor, args):
-    """Same as :func:`_apply_tensor` for scalar-valued symmetric maps."""
-    n = len(args)
-    total = ring.zero()
-    dim_in = len(args[0]) if args else 0
-    for idx in itertools.product(range(dim_in), repeat=n):
-        c = tensor.get(tuple(sorted(idx)))
-        if not c:
-            continue
-        coeff = ring.one()
-        dead = False
-        for k, i in enumerate(idx):
-            entry = args[k][i]
-            if entry.is_zero():
-                dead = True
-                break
-            coeff = coeff * entry
-        if not dead:
-            total = total + _as_series(ring, c) * coeff
-    return total
+def _tensors_from_terms(ring, terms, dim_in, dim_out=None):
+    """Sum (inputs, output, coefficient) terms into {arity: {sorted
+    inputs: {output: series}}}; with ``dim_out`` None, sum (inputs,
+    coefficient) terms into {arity: {sorted inputs: series}}."""
+    tensors = {}
+    for term in terms:
+        inputs = tuple(term[0])
+        _check_indices(inputs, dim_in, "input")
+        tensor = tensors.setdefault(len(inputs), {})
+        key = tuple(sorted(inputs))
+        if dim_out is None:
+            slot, index = tensor, key
+        else:
+            index = term[1]
+            _check_indices((index,), dim_out, "output")
+            slot = tensor.setdefault(key, {})
+        slot[index] = slot.get(index, ring.zero()) + _as_series(ring, term[-1])
+    return tensors
 
 
 @dataclass
@@ -129,13 +152,9 @@ class CohFTAlgebra:
 
 def algebra_from_terms(ring, basis, terms):
     """Build an algebra from (inputs, output index, coefficient) triples."""
-    mu = {}
-    for inputs, out, coeff in terms:
-        n = len(inputs)
-        tensor = mu.setdefault(n, {})
-        slot = tensor.setdefault(tuple(sorted(inputs)), {})
-        slot[out] = slot.get(out, ring.zero()) + _as_series(ring, coeff)
-    return CohFTAlgebra(ring, tuple(basis), mu)
+    basis = tuple(basis)
+    mu = _tensors_from_terms(ring, terms, len(basis), len(basis))
+    return CohFTAlgebra(ring, basis, mu)
 
 
 def small_quantum_projective(k, ring=None, t_cap=4, q_cap=4):
@@ -161,12 +180,20 @@ def star_product(alg, v, a, b):
     a = as_vector(ring, alg.dim, a)
     b = as_vector(ring, alg.dim, b)
     v = as_vector(ring, alg.dim, v)
-    out = [ring.zero() for _ in range(alg.dim)]
-    for n in alg.arities():
-        term = alg.apply_mu(n, [a, b] + [v] * (n - 2))
-        f = Fraction(1, math.factorial(n - 2))
-        for i in range(alg.dim):
-            out[i] = out[i] + term[i] * f
+    return _weighted_sum(
+        [ring.zero()] * alg.dim,
+        ((alg.apply_mu(n, [a, b] + [v] * (n - 2)), math.factorial(n - 2))
+         for n in alg.arities()))
+
+
+def _weighted_sum(start, terms):
+    """``start`` plus the sum of term / divisor over (term, divisor) pairs
+    of series vectors and integers."""
+    out = list(start)
+    for term, divisor in terms:
+        f = Fraction(1, divisor)
+        for i, x in enumerate(term):
+            out[i] = out[i] + x * f
     return tuple(out)
 
 
@@ -182,18 +209,28 @@ def check_associativity(alg, v=None):
     for i, j, k in itertools.product(range(alg.dim), repeat=3):
         lhs = star_product(alg, v, star_product(alg, v, i, j), k)
         rhs = star_product(alg, v, i, star_product(alg, v, j, k))
-        for c in range(alg.dim):
-            diff = lhs[c] - rhs[c]
-            if not diff.is_zero():
-                key = sorted(diff.coeffs)[0]
-                return False, {
-                    "triple": (alg.basis[i], alg.basis[j], alg.basis[k]),
-                    "component": alg.basis[c],
-                    "exponent": key,
-                    "lhs": lhs[c].coeffs.get(key, Fraction(0)),
-                    "rhs": rhs[c].coeffs.get(key, Fraction(0)),
-                }
+        wit = _witness({"triple": (alg.basis[i], alg.basis[j], alg.basis[k])},
+                       lhs, rhs, alg.basis)
+        if wit:
+            return False, wit
     return True, None
+
+
+def _witness(head, lhs, rhs, components=None):
+    """``head`` extended by where two series vectors first differ: the
+    component (named from ``components`` when given), the smallest
+    exponent of the difference there and both coefficients; None when
+    the vectors agree."""
+    for c, (x, y) in enumerate(zip(lhs, rhs)):
+        diff = x - y
+        if not diff.is_zero():
+            if components is not None:
+                head["component"] = components[c]
+            key = min(diff.coeffs)
+            return {**head, "exponent": key,
+                    "lhs": x.coeffs.get(key, Fraction(0)),
+                    "rhs": y.coeffs.get(key, Fraction(0))}
+    return None
 
 
 @dataclass
@@ -231,12 +268,7 @@ def identity_morphism(ring, dim):
 
 
 def morphism_from_terms(ring, dim_v, dim_w, terms, phi0=None):
-    phi = {}
-    for inputs, out, coeff in terms:
-        n = len(inputs)
-        tensor = phi.setdefault(n, {})
-        slot = tensor.setdefault(tuple(sorted(inputs)), {})
-        slot[out] = slot.get(out, ring.zero()) + _as_series(ring, coeff)
+    phi = _tensors_from_terms(ring, terms, dim_v, dim_w)
     phi0_vec = None
     if phi0 is not None:
         phi0_vec = as_vector(ring, dim_w, phi0)
@@ -247,13 +279,9 @@ def push_forward(phi, v):
     """phi(v) = phi0 + sum_{n>=1} phi^n(v, ..., v) / n!."""
     ring = phi.ring
     v = as_vector(ring, phi.dim_v, v)
-    out = list(phi.phi0)
-    for n in phi.arities():
-        term = phi.apply_phi(n, [v] * n)
-        f = Fraction(1, math.factorial(n))
-        for i in range(phi.dim_w):
-            out[i] = out[i] + term[i] * f
-    return tuple(out)
+    return _weighted_sum(
+        phi.phi0, ((phi.apply_phi(n, [v] * n), math.factorial(n))
+                   for n in phi.arities()))
 
 
 def derivative(phi, v, a):
@@ -261,13 +289,10 @@ def derivative(phi, v, a):
     ring = phi.ring
     v = as_vector(ring, phi.dim_v, v)
     a = as_vector(ring, phi.dim_v, a)
-    out = [ring.zero() for _ in range(phi.dim_w)]
-    for n in phi.arities():
-        term = phi.apply_phi(n, [a] + [v] * (n - 1))
-        f = Fraction(1, math.factorial(n - 1))
-        for i in range(phi.dim_w):
-            out[i] = out[i] + term[i] * f
-    return tuple(out)
+    return _weighted_sum(
+        [ring.zero()] * phi.dim_w,
+        ((phi.apply_phi(n, [a] + [v] * (n - 1)), math.factorial(n - 1))
+         for n in phi.arities()))
 
 
 def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
@@ -289,17 +314,9 @@ def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
         da = derivative(phi, v, i)
         db = derivative(phi, v, j)
         rhs = star_product(alg_w, w, da, db)
-        for c in range(phi.dim_w):
-            diff = lhs[c] - rhs[c]
-            if not diff.is_zero():
-                key = sorted(diff.coeffs)[0]
-                return False, {
-                    "pair": (i, j),
-                    "component": c,
-                    "exponent": key,
-                    "lhs": lhs[c].coeffs.get(key, Fraction(0)),
-                    "rhs": rhs[c].coeffs.get(key, Fraction(0)),
-                }
+        wit = _witness({"pair": (i, j)}, lhs, rhs, range(phi.dim_w))
+        if wit:
+            return False, wit
     return True, None
 
 
@@ -319,39 +336,27 @@ class Trace:
     def apply_tau(self, n, args):
         if n not in self.tau:
             raise MissingArity(f"tau^{n} not supplied")
-        return _apply_scalar_tensor(self.ring, self.tau[n], args)
+        ring, contract = self.ring, _contraction(self.ring, args)
+        return sum((_as_series(ring, c) * contract(key)
+                    for key, c in self.tau[n].items()), ring.zero())
 
     def apply_tau_pp(self, pts, bulk):
         n = len(bulk)
         if self.tau_pp is None or n not in self.tau_pp:
             raise MissingArity(f"tau_pp with {n} bulk slots not supplied")
         ring = self.ring
-        total = ring.zero()
-        for pidx in itertools.product(range(self.dim), repeat=2):
-            for bidx in itertools.product(range(self.dim), repeat=n):
-                c = self.tau_pp[n].get((tuple(sorted(pidx)), tuple(sorted(bidx))))
-                if not c:
-                    continue
-                coeff = _as_series(ring, c)
-                for k, i in enumerate(pidx):
-                    coeff = coeff * pts[k][i]
-                for k, i in enumerate(bidx):
-                    coeff = coeff * bulk[k][i]
-                total = total + coeff
-        return total
+        pts_part, bulk_part = _contraction(ring, pts), _contraction(ring, bulk)
+        return sum((_as_series(ring, c) * pts_part(pkey) * bulk_part(bkey)
+                    for (pkey, bkey), c in self.tau_pp[n].items()), ring.zero())
 
 
 def trace_from_terms(ring, dim, terms, pp_terms=None):
-    tau = {}
-    for inputs, coeff in terms:
-        n = len(inputs)
-        tensor = tau.setdefault(n, {})
-        key = tuple(sorted(inputs))
-        tensor[key] = tensor.get(key, ring.zero()) + _as_series(ring, coeff)
+    tau = _tensors_from_terms(ring, terms, dim)
     tau_pp = None
     if pp_terms is not None:
         tau_pp = {}
         for pts, bulk, coeff in pp_terms:
+            _check_indices(tuple(pts) + tuple(bulk), dim, "input")
             n = len(bulk)
             tensor = tau_pp.setdefault(n, {})
             key = (tuple(sorted(pts)), tuple(sorted(bulk)))
@@ -484,41 +489,24 @@ def pp_family_from(tau_w, phi, bulk_max):
                 items = [("p", 0), ("p", 1)] + [("b", i) for i in range(n)]
                 total = ring.zero()
                 for blocks in set_partitions(items):
-                    homes = [None, None]
-                    for bi, block in enumerate(blocks):
-                        for tag, i in block:
-                            if tag == "p":
-                                homes[i] = bi
-                    if homes[0] == homes[1]:
+                    # the point slots take the blocks of x1 and x2, which
+                    # must differ; both tensors are symmetric, so the
+                    # order of the blocks and of their members is free
+                    if (any({("p", 0), ("p", 1)} <= block for block in blocks)
+                            or any(len(block) not in phi.phi for block in blocks)
+                            or tau_w.tau_pp is None
+                            or len(blocks) - 2 not in tau_w.tau_pp):
                         continue
-                    pts = []
-                    bulk_args = []
-                    dead = False
-                    for bi, block in enumerate(blocks):
-                        members = sorted(block)
-                        vecs = []
-                        for tag, i in members:
-                            if tag == "p":
-                                vecs.insert(0, basis[pidx[i]])
-                            else:
-                                vecs.append(basis[bidx[i]])
-                        m = len(vecs)
-                        if m not in phi.phi:
-                            dead = True
-                            break
-                        img = phi.apply_phi(m, vecs)
-                        if bi in homes:
-                            pts.append((homes.index(bi), img))
+                    pts, bulk_args = [], []
+                    for block in blocks:
+                        img = phi.apply_phi(len(block), [
+                            basis[(pidx if tag == "p" else bidx)[i]]
+                            for tag, i in block])
+                        if any(tag == "p" for tag, _ in block):
+                            pts.append(img)
                         else:
                             bulk_args.append(img)
-                    if dead:
-                        continue
-                    r = len(bulk_args)
-                    if tau_w.tau_pp is None or r not in tau_w.tau_pp:
-                        continue
-                    pts.sort()
-                    total = total + tau_w.apply_tau_pp(
-                        [img for _, img in pts], bulk_args)
+                    total = total + tau_w.apply_tau_pp(pts, bulk_args)
                 if not total.is_zero():
                     tensor[(pidx, bidx)] = total
         tau_pp[n] = tensor
@@ -543,15 +531,9 @@ def check_isometry(tau_v, tau_w, phi, v=None):
         lhs = bilinear_form(tau_v, v, i, j)
         rhs = bilinear_form(tau_w, w, derivative(phi, v, i),
                             derivative(phi, v, j))
-        diff = lhs - rhs
-        if not diff.is_zero():
-            key = sorted(diff.coeffs)[0]
-            return False, {
-                "pair": (i, j),
-                "exponent": key,
-                "lhs": lhs.coeffs.get(key, Fraction(0)),
-                "rhs": rhs.coeffs.get(key, Fraction(0)),
-            }
+        wit = _witness({"pair": (i, j)}, (lhs,), (rhs,))
+        if wit:
+            return False, wit
     return True, None
 
 
@@ -746,34 +728,31 @@ def solve_qde(alg, xi=1, q_cap=3):
 
 def random_even_algebra(seed, dim=2, max_arity=3, t_cap=3, density=0.7):
     """A random symmetric product family (no axioms imposed)."""
-    rng = random.Random(seed)
     ring = SeriesRing(tvars=[f"t{i}" for i in range(dim)], t_cap=t_cap)
-    mu = {}
-    for n in range(2, max_arity + 1):
-        tensor = {}
-        for idx in itertools.combinations_with_replacement(range(dim), n):
-            if rng.random() > density:
-                continue
-            tensor[idx] = {
-                out: ring.scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-                for out in range(dim) if rng.random() < density}
-        mu[n] = tensor
+    mu = _random_tensors(random.Random(seed), ring, range(2, max_arity + 1),
+                         dim, dim, 3, density)
     return CohFTAlgebra(ring, tuple(f"e{i}" for i in range(dim)), mu)
 
 
 def random_flat_morphism(seed, ring, dim_v, dim_w, max_arity=3, density=0.8):
-    rng = random.Random(seed)
-    phi = {}
-    for n in range(1, max_arity + 1):
+    phi = _random_tensors(random.Random(seed), ring, range(1, max_arity + 1),
+                          dim_v, dim_w, 2, density)
+    return Morphism(ring, dim_v, dim_w, phi)
+
+
+def _random_tensors(rng, ring, arities, dim_in, dim_out, top, density):
+    """Sparse tensors with coefficients a/b, |a| <= top and 1 <= b <= top."""
+    tensors = {}
+    for n in arities:
         tensor = {}
-        for idx in itertools.combinations_with_replacement(range(dim_v), n):
+        for idx in itertools.combinations_with_replacement(range(dim_in), n):
             if rng.random() > density:
                 continue
             tensor[idx] = {
-                out: ring.scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 2)))
-                for out in range(dim_w) if rng.random() < density}
-        phi[n] = tensor
-    return Morphism(ring, dim_v, dim_w, phi)
+                out: ring.scalar(Fraction(rng.randint(-top, top), rng.randint(1, top)))
+                for out in range(dim_out) if rng.random() < density}
+        tensors[n] = tensor
+    return tensors
 
 
 def random_trace(seed, ring, dim, max_arity=4, density=0.8):

@@ -54,7 +54,7 @@ class TooLarge(TreelevelError):
 
 
 class InvalidArgument(TreelevelError):
-    """A command-line value does not parse."""
+    """An input value does not parse or lies out of range."""
 
 
 class NoColoredVertex(TreelevelError):

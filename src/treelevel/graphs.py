@@ -607,17 +607,14 @@ def _decor(g, v):
     return ("r", 1 if v == g.root else 0)
 
 
-def _encode_rooted(g, v, parent, loops_at):
-    children = []
-    for w in g.neighbors(v):
-        if w != parent:
-            children.append(_encode_rooted(g, w, v, loops_at))
-    children.sort()
-    return (_decor(g, v), loops_at.get(v, 0), tuple(g.legs_at(v)),
+def _encode_rooted(g, v, parent, adj, legs_at, loops_at):
+    children = sorted(_encode_rooted(g, w, v, adj, legs_at, loops_at)
+                      for w in adj[v] if w != parent)
+    return (_decor(g, v), loops_at.get(v, 0), tuple(legs_at.get(v, ())),
             tuple(children))
 
 
-def _component_key(g, comp, loops_at):
+def _component_key(g, comp, adj, legs_at, loops_at):
     comp_set = set(comp)
     legs_in = [l for l, v in g.legs.items() if v in comp_set]
     forced = None
@@ -626,10 +623,11 @@ def _component_key(g, comp, loops_at):
     elif g.kind in ROOTED_KINDS and g.root in comp_set:
         forced = g.root
     if forced is not None:
-        return _encode_rooted(g, forced, None, loops_at)
+        return _encode_rooted(g, forced, None, adj, legs_at, loops_at)
     if legs_in:
-        return _encode_rooted(g, g.legs[min(legs_in)], None, loops_at)
-    return min(_encode_rooted(g, v, None, loops_at) for v in comp)
+        return _encode_rooted(g, g.legs[min(legs_in)], None, adj, legs_at,
+                              loops_at)
+    return min(_encode_rooted(g, v, None, adj, legs_at, loops_at) for v in comp)
 
 
 def _modular_bruteforce_key(g):
@@ -682,14 +680,19 @@ def canonical_key(g):
             if (a, b) in seen_pairs:
                 simple = False
             seen_pairs.add((a, b))
+    adj = g.adjacency()
+    comps = g.components(adj)
     if g.kind is Kind.MODULAR:
         acyclic = simple and (
             len(g.edges) - sum(loops_at.values())
-            == len(g.vertex_ids) - len(g.components()))
+            == len(g.vertex_ids) - len(comps))
         if not acyclic:
             return repr((g.kind.value, _modular_bruteforce_key(g))).encode()
-    comps = sorted(_component_key(g, c, loops_at) for c in g.components())
-    return repr((g.kind.value, comps)).encode()
+    legs_at = {}
+    for l, v in sorted(g.legs.items()):
+        legs_at.setdefault(v, []).append(l)
+    keys = sorted(_component_key(g, c, adj, legs_at, loops_at) for c in comps)
+    return repr((g.kind.value, keys)).encode()
 
 
 def is_isomorphic(a, b):

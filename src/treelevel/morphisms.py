@@ -29,7 +29,6 @@ from .graphs import (
     MarkedGraph,
     is_stable,
     require_valid,
-    validate,
 )
 
 
@@ -132,10 +131,11 @@ def collapse_with_relations(g, center):
         edges.append((rename(x), rename(y)))
     legs = {l: rename(v) for l, v in g.legs.items()}
     out = MarkedGraph(g.kind, decor, edges, legs, g.root)
-    problems = validate(out)
-    if problems:
+    try:
+        require_valid(out)
+    except InvalidGraph as err:
         raise ForbiddenCollapse(
-            "merge does not produce a valid colored type: " + "; ".join(problems))
+            f"merge does not produce a valid colored type: {err}") from None
     return out
 
 

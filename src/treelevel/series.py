@@ -249,13 +249,6 @@ class Series:
         return " + ".join(bits)
 
 
-def product_of(ring, factors):
-    out = ring.one()
-    for f in factors:
-        out = out * f
-    return out
-
-
 def multinomial(n, parts):
     """n! / prod(parts!) for parts summing to at most n."""
     import math

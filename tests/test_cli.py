@@ -16,6 +16,7 @@ def assert_one_line_error(capsys):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+    return captured.err
 
 
 class TestKirwanCommand:
@@ -192,6 +193,50 @@ class TestUsage:
         path.write_text(text)
         assert main(["cone", "--graph", str(path)]) == 2
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command, text", [
+        ("check-associativity", "{bad"),
+        ("check-associativity", json.dumps({"mu": []})),
+        ("check-associativity", json.dumps([1, 2])),
+        ("check-associativity", json.dumps(
+            {"basis": ["a", "b"],
+             "mu": [{"inputs": [0, 0], "output": 0, "coeff": "abc"}]})),
+        ("check-associativity", json.dumps(
+            {"basis": ["a", "b"], "mu": [{"inputs": [0, 0], "output": 5}]})),
+        ("check-associativity", json.dumps(
+            {"basis": ["a", "b"], "mu": [{"inputs": [0, -1], "output": 0}]})),
+        ("check-associativity", json.dumps(
+            {"basis": ["a", "b"], "mu": [{"inputs": [0, 7], "output": 0}]})),
+        ("check-associativity", json.dumps(
+            {"basis": ["a"], "q_denominator": 0, "mu": []})),
+        ("solve-qde", json.dumps(
+            {"basis": ["1", "xi"], "xi": 4,
+             "mu": [{"inputs": [0, 0], "output": 0}]})),
+        ("check-star-morphism", json.dumps(
+            {"basis_v": ["e"], "basis_w": ["e"],
+             "mu_v": [{"inputs": [0, 0], "output": 0}],
+             "mu_w": [{"inputs": [0, 0], "output": 0}],
+             "phi": [{"inputs": [0], "output": 0}], "pairs": [[0, 3]]})),
+    ], ids=["not-json", "missing-basis", "not-an-object", "bad-coeff",
+            "output-range", "negative-input", "input-range",
+            "q-denominator", "xi-range", "pair-range"])
+    def test_bad_cohft_spec_exits_two(self, command, text, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["cohft", command, "--spec", str(path)]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("option", ["--order", "--q-cap"])
+    def test_negative_cohft_size_exits_two(self, option, tmp_path, capsys):
+        path = tmp_path / "qde.json"
+        path.write_text(json.dumps(
+            {"basis": ["1", "xi"], "q_cap": 2,
+             "mu": [{"inputs": [0, 0], "output": 0},
+                    {"inputs": [0, 1], "output": 1},
+                    {"inputs": [1, 1], "output": 0, "q": "1"}]}))
+        assert main(["cohft", "solve-qde", "--spec", str(path),
+                     option, "-1"]) == 2
+        assert "must be nonnegative" in assert_one_line_error(capsys)
 
     def test_bad_guard_value_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("MODULI_MAX_N", "abc")

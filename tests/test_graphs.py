@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treelevel import graphs
-from treelevel.errors import InvalidGraph, KindMismatch, TooLarge
+from treelevel.errors import (
+    ForbiddenCollapse,
+    InvalidGraph,
+    KindMismatch,
+    NothingToCollapse,
+    TooLarge,
+)
 from treelevel.graphs import (
     Color,
     Kind,
@@ -23,6 +29,7 @@ from treelevel.graphs import (
     rooted_forest,
     validate,
 )
+from treelevel.morphisms import collapse_with_relations
 from treelevel.strata import (
     FM,
     M0,
@@ -419,6 +426,28 @@ class TestValidateOnce:
         require_valid(b)
         require_valid(a)
         assert validate_calls == [a, b] and validate_calls[0] is a
+
+    def test_collapse_with_relations_checks_result_once(self, validate_calls):
+        results = 0
+        for g in enumerate_strata(MULT(4)):
+            require_valid(g)
+            for v in g.vertex_ids:
+                if g.color[v] is not Color.INFINITY:
+                    continue
+                del validate_calls[:]
+                try:
+                    out = collapse_with_relations(g, v)
+                except ForbiddenCollapse as err:
+                    assert str(err).startswith(
+                        "merge does not produce a valid colored type: ")
+                    continue
+                except NothingToCollapse:
+                    continue
+                assert validate_calls == [out]
+                canonical_key(out)
+                assert validate_calls == [out]
+                results += 1
+        assert results == 121
 
 
 class TestValences:
