@@ -32,33 +32,107 @@ def _frac_str(x):
     return str(Fraction(x))
 
 
+_quote = json.encoder.encode_basestring_ascii
+# Encoders of the leaf types, looked up by exact type so that the
+# containers below encode their leaves without a recursive call.
+_LEAF = {str: _quote, int: int.__repr__,
+         bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _indented(obj, pad=""):
+    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
+    for a value nested at the indentation ``pad``.
+
+    Accepts dicts with str keys, lists, str, int, bool and None, and
+    raises TypeError on anything else.  It builds strings directly, where
+    ``json.dumps`` with an indent runs its pure-Python encoder.
+    """
+    leaf = _LEAF.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # a key that is not a str fails in sorted() or in _quote
+        items = [_quote(k) + ": " + (_LEAF[type(v)](v) if type(v) in _LEAF
+                                     else _indented(v, inner))
+                 for k, v in sorted(obj.items())]
+        opening, closing = "{", "}"
+    elif isinstance(obj, list):
+        if not obj:
+            return "[]"
+        items = [_LEAF[type(v)](v) if type(v) in _LEAF else _indented(v, inner)
+                 for v in obj]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(
+            f"Object of type {type(obj).__name__} is not JSON serializable")
+    return (opening + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + pad + closing)
+
+
+def _write_json(obj, stream=None):
+    """Print ``obj`` as ``print(json.dumps(obj, indent=2, sort_keys=True))``
+    would, item by item for the list under ``stream``.
+
+    ``stream`` names a key that sorts after every key of ``obj`` and
+    maps to an iterable; its items are written as they come, so neither
+    the list nor the whole document is held.
+    """
+    write = sys.stdout.write
+    if stream is None:
+        write(_indented(obj) + "\n")
+        return
+    head = dict(obj)
+    items = head.pop(stream)
+    if not all(k < stream for k in head):
+        raise ValueError(f"{stream!r} must sort after every other key")
+    write("{\n")
+    for k in sorted(head):
+        write("  " + _quote(k) + ": " + _indented(head[k], "  ") + ",\n")
+    write("  " + _quote(stream) + ": ")
+    sep = "[\n    "
+    for item in items:
+        write(sep + _indented(item, "    "))
+        sep = ",\n    "
+    write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
+
+
 def _space(args):
     return SpaceKind(args.space, args.n)
+
+
+def _divisor_record(d):
+    return {"name": d.name, "shape": d.shape[0], "dimension": d.dimension(),
+            "generic_type": d.generic_type.to_json_obj()}
 
 
 def cmd_strata(args):
     space = _space(args)
     strata = enumerate_strata(space)
-    records = []
-    for g in strata:
-        rec = g.to_json_obj()
-        rec["dimension"] = stratum_dimension(g, space)
-        rec["codimension"] = stratum_codimension(g, space)
-        records.append(rec)
-    divisors = [
-        {"name": d.name, "shape": d.shape[0],
-         "dimension": d.dimension(), "generic_type": d.generic_type.to_json_obj()}
-        for d in boundary_divisors(space)
-    ]
+    divisors = [_divisor_record(d) for d in boundary_divisors(space)]
+
+    def records():
+        for g in strata:
+            rec = g.to_json_obj()
+            rec["dimension"] = stratum_dimension(g, space)
+            rec["codimension"] = stratum_codimension(g, space)
+            yield rec
+
     if args.json:
-        print(json.dumps(
-            {"space": str(space), "ambient_dimension": space.ambient_dimension,
-             "strata": records, "divisors": divisors},
-            indent=2, sort_keys=True))
+        _write_json({"space": str(space),
+                     "ambient_dimension": space.ambient_dimension,
+                     "divisors": divisors, "strata": records()},
+                    stream="strata")
     else:
         print(f"{space}: ambient dimension {space.ambient_dimension}, "
               f"{len(strata)} strata, {len(divisors)} boundary divisors")
-        for rec in records:
+        for rec in records():
             print(f"  dim {rec['dimension']} codim {rec['codimension']}: "
                   f"{len(rec['vertices'])} vertices, {len(rec['edges'])} edges")
         for d in divisors:
@@ -76,7 +150,7 @@ def cmd_cone(args):
         g = MarkedGraph.from_json(fh.read())
     summary = cone_summary(g)
     if args.json:
-        print(json.dumps(summary, indent=2, sort_keys=True))
+        _write_json(summary)
     else:
         print(f"ambient rank {summary['ambient_rank']}, "
               f"{summary['ray_count']} extremal rays")
@@ -91,11 +165,7 @@ def cmd_divisors(args):
     if args.verify is None:
         divisors = boundary_divisors(space)
         if args.json:
-            print(json.dumps(
-                [{"name": d.name, "shape": d.shape[0],
-                  "dimension": d.dimension(),
-                  "generic_type": d.generic_type.to_json_obj()}
-                 for d in divisors], indent=2, sort_keys=True))
+            _write_json([_divisor_record(d) for d in divisors])
         else:
             for d in divisors:
                 print(f"{d.name}  dim {d.dimension()}  codim {d.codimension()}")
@@ -237,7 +307,7 @@ def cmd_kirwan(args):
             ],
             "presentation": pres.presentation_string(),
         }
-        print(json.dumps(out, indent=2, sort_keys=True))
+        _write_json(out)
     else:
         print(pres.summary())
     return 0

@@ -13,6 +13,7 @@ scaling partitions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from .combis import bell, set_partitions, subsets
@@ -70,11 +71,16 @@ def classify_under_forgetting(divisor, keep):
     for target in boundary_divisors(target_space):
         if canonical_key(target.generic_type) == key:
             return Classification(divisor, "boundary", target, 1)
-    open_keys = {canonical_key(s) for s in enumerate_strata(target_space)
-                 if len(s.edges) == 0}
-    if key not in open_keys:
+    if key not in _open_keys(target_space):
         raise KindMismatch("image is neither a divisor nor the open type")
     return Classification(divisor, "dominant")
+
+
+@functools.cache
+def _open_keys(space):
+    """Canonical keys of the open strata (those without edges) of ``space``."""
+    return frozenset(canonical_key(s) for s in enumerate_strata(space)
+                     if not s.edges)
 
 
 @dataclass

@@ -598,20 +598,50 @@ def is_stable(g):
 
 
 # -- canonical form ----------------------------------------------------------
+#
+# A canonical key is ``repr((kind, codes))``.  For trees and tree-like
+# modular graphs, ``codes`` is the sorted list of the component codes,
+# each the code of the component rooted at a chosen vertex; the code of
+# a rooted subtree is (decoration, loops, sorted legs, sorted child
+# codes).  strata reads the same codes straight off its enumeration
+# nodes, so both build them with the helpers below.
+
+def _decoration(kind, value):
+    """Decoration code of a vertex: ``value`` is its genus (modular
+    kind), its Color (colored kinds) or whether it is the root (rooted
+    forests)."""
+    if kind is Kind.MODULAR:
+        return ("g", value)
+    if kind in COLORED_KINDS:
+        return ("c", value.value)
+    return ("r", 1 if value else 0)
+
 
 def _decor(g, v):
     if g.kind is Kind.MODULAR:
-        return ("g", g.genus[v])
+        return _decoration(g.kind, g.genus[v])
     if g.kind in COLORED_KINDS:
-        return ("c", g.color[v].value)
-    return ("r", 1 if v == g.root else 0)
+        return _decoration(g.kind, g.color[v])
+    return _decoration(g.kind, v == g.root)
+
+
+def _vertex_code(decor, loops, legs, children):
+    """Code of a rooted subtree from its top vertex's decoration, loop
+    count and sorted leg tuple and the codes of its child subtrees."""
+    return (decor, loops, legs, tuple(sorted(children)))
+
+
+def _key_bytes(kind, codes):
+    """The canonical key of a graph of ``kind`` from its component codes,
+    already sorted."""
+    return repr((kind.value, codes)).encode()
 
 
 def _encode_rooted(g, v, parent, adj, legs_at, loops_at):
-    children = sorted(_encode_rooted(g, w, v, adj, legs_at, loops_at)
-                      for w in adj[v] if w != parent)
-    return (_decor(g, v), loops_at.get(v, 0), tuple(legs_at.get(v, ())),
-            tuple(children))
+    return _vertex_code(
+        _decor(g, v), loops_at.get(v, 0), tuple(legs_at.get(v, ())),
+        [_encode_rooted(g, w, v, adj, legs_at, loops_at)
+         for w in adj[v] if w != parent])
 
 
 def _component_key(g, comp, adj, legs_at, loops_at):
@@ -687,12 +717,12 @@ def canonical_key(g):
             len(g.edges) - sum(loops_at.values())
             == len(g.vertex_ids) - len(comps))
         if not acyclic:
-            return repr((g.kind.value, _modular_bruteforce_key(g))).encode()
+            return _key_bytes(g.kind, _modular_bruteforce_key(g))
     legs_at = {}
     for l, v in sorted(g.legs.items()):
         legs_at.setdefault(v, []).append(l)
     keys = sorted(_component_key(g, c, adj, legs_at, loops_at) for c in comps)
-    return repr((g.kind.value, keys)).encode()
+    return _key_bytes(g.kind, keys)
 
 
 def is_isomorphic(a, b):

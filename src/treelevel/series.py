@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import CapExceeded
+from .errors import CapExceeded, InvalidArgument
 
 
 class SeriesRing:
@@ -28,8 +28,13 @@ class SeriesRing:
         if self.q_denominator < 1:
             raise ValueError("q denominator must be positive")
         self.t_cap = int(t_cap)
-        self.q_cap_num = int(Fraction(q_cap) * self.q_denominator)
+        q_cap = Fraction(q_cap)
+        self.q_cap_num = int(q_cap * self.q_denominator)
         self.h_cap = int(h_cap)
+        for name, cap in (("t_cap", self.t_cap), ("q_cap", q_cap),
+                          ("h_cap", self.h_cap)):
+            if cap < 0:
+                raise InvalidArgument(f"{name} must be nonnegative, not {cap}")
 
     def __eq__(self, other):
         return isinstance(other, SeriesRing) and (

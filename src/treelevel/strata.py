@@ -32,9 +32,13 @@ from .errors import (
 )
 from .graphs import (
     COLORED_KINDS,
+    ROOTED_KINDS,
     Color,
     Kind,
     MarkedGraph,
+    _decoration,
+    _key_bytes,
+    _vertex_code,
     canonical_key,
     is_stable,
     require_valid,
@@ -164,37 +168,39 @@ def _mult_rooted(legset):
 
 
 _TAG_COLOR = {"b": Color.ZERO, "c": Color.COLORED, "i": Color.INFINITY}
+# The vertex decoration MarkedGraph takes for each node tag, per kind.
+_TAG_VERTEX = {
+    Kind.MODULAR: {"b": 0},
+    Kind.ROOTED_FOREST: {"r": None, "b": None},
+    **dict.fromkeys(COLORED_KINDS, _TAG_COLOR),
+}
+
+
+def _place(node, decor, verts, edges, legs):
+    """Number the vertices of ``node`` in preorder; each edge is added
+    once its child's subtree is placed."""
+    tag, own, children = node
+    vid = len(verts)
+    verts[vid] = decor[tag]
+    for l in own:
+        legs[l] = vid
+    for child in children:
+        edges.append((vid, _place(child, decor, verts, edges, legs)))
+    return vid
 
 
 def _materialize(space, node):
+    kind = space.graph_kind
     verts = {}
     edges = []
     legs = {}
-    counter = itertools.count()
-
-    def place(nd):
-        tag, own, children = nd
-        vid = next(counter)
-        if space.graph_kind is Kind.MODULAR:
-            verts[vid] = 0
-        elif space.graph_kind in COLORED_KINDS:
-            verts[vid] = _TAG_COLOR[tag]
-        else:
-            verts[vid] = None
-        for l in own:
-            legs[l] = vid
-        for child in children:
-            cid = place(child)
-            edges.append((vid, cid))
-        return vid
-
-    top = place(node)
+    top = _place(node, _TAG_VERTEX[kind], verts, edges, legs)
     root = None
-    if space.graph_kind is Kind.COLORED_TREE:
+    if kind is Kind.COLORED_TREE:
         legs[0] = top
-    elif space.graph_kind in (Kind.ROOTED_FOREST, Kind.ROOTED_COLORED_TREE):
+    elif kind in ROOTED_KINDS:
         root = top
-    return MarkedGraph(space.graph_kind, verts, edges, legs, root)
+    return MarkedGraph(kind, verts, edges, legs, root)
 
 
 def _raw_strata(space):
@@ -229,18 +235,94 @@ def _raw_strata(space):
                     yield ("i", frozenset(), combo)
 
 
-def enumerate_strata(space):
-    """All stable connected types of ``space``, one per isomorphism class.
+# -- canonical keys of nodes --------------------------------------------------
+#
+# The key of a node is canonical_key of the graph _materialize builds
+# from it, read off the node: the same codes, rooted where canonical_key
+# roots them (the top vertex, which carries leg 0 or is the root, except
+# for m0, whose key is rooted at the vertex holding leg 1).
 
-    Returned sorted by canonical key, so the output order is
-    deterministic and independent of the enumeration order.
+_TAG_DECOR = {
+    Kind.MODULAR: {"b": _decoration(Kind.MODULAR, 0)},
+    Kind.ROOTED_FOREST: {"r": _decoration(Kind.ROOTED_FOREST, True),
+                         "b": _decoration(Kind.ROOTED_FOREST, False)},
+    **{kind: {tag: _decoration(kind, color) for tag, color in _TAG_COLOR.items()}
+       for kind in COLORED_KINDS},
+}
+
+
+def _down_code(node, decor, memo):
+    """Code of the subtree below ``node``, memoized by node identity."""
+    code = memo.get(id(node))
+    if code is None:
+        tag, own, children = node
+        code = memo[id(node)] = _vertex_code(
+            decor[tag], 0, tuple(sorted(own)),
+            [_down_code(c, decor, memo) for c in children])
+    return code
+
+
+def _holds(node, leg):
+    tag, own, children = node
+    return leg in own or any(_holds(c, leg) for c in children)
+
+
+def _rerooted_code(node, decor, memo, leg):
+    """Code of the tree of ``node`` rooted at the vertex holding ``leg``.
+
+    Walks down to that vertex; each vertex on the way is coded with the
+    part above it as one more child.
+    """
+    path = [(node, None)]
+    while leg not in path[-1][0][1]:
+        children = path[-1][0][2]
+        j = next(i for i, c in enumerate(children) if _holds(c, leg))
+        path[-1] = (path[-1][0], j)
+        path.append((children[j], None))
+    above = []
+    for (tag, own, children), down in path:
+        code = _vertex_code(
+            decor[tag], 0, tuple(sorted(own)),
+            [_down_code(c, decor, memo) for i, c in enumerate(children)
+             if i != down] + above)
+        above = [code]
+    return code
+
+
+def _node_key(space, node, memo):
+    """``canonical_key(_materialize(space, node))``, without the graph.
+
+    ``memo`` holds subtree codes by node identity for as long as the
+    caller keeps the nodes alive.
+    """
+    kind = space.graph_kind
+    decor = _TAG_DECOR[kind]
+    if kind is Kind.MODULAR:
+        return _key_bytes(kind, [_rerooted_code(node, decor, memo, 1)])
+    tag, own, children = node
+    if kind is Kind.COLORED_TREE:
+        own = own | {0}
+    return _key_bytes(kind, [_vertex_code(
+        decor[tag], 0, tuple(sorted(own)),
+        [_down_code(c, decor, memo) for c in children])])
+
+
+def enumerate_strata(space):
+    """All stable connected types of ``space``, one per isomorphism class,
+    in canonical order by construction.
+
+    The recursion yields each class exactly once, so nothing is
+    deduplicated.  Each node's canonical key is read off the node, the
+    nodes are sorted by it and only then materialized, so the list is
+    sorted by :func:`~treelevel.graphs.canonical_key` and the order is
+    deterministic.  The graphs are validated at their first
+    :func:`~treelevel.graphs.require_valid`.
     """
     space.guard()
-    found = {}
-    for node in _raw_strata(space):
-        g = _materialize(space, node)
-        found[canonical_key(g)] = g
-    return [found[k] for k in sorted(found)]
+    # the memo of subtree codes is dropped before any graph is built
+    nodes = sorted(_raw_strata(space),
+                   key=functools.partial(_node_key, space, memo={}))
+    return [_materialize(space, node) for node in nodes]
 
 
 # -- dimension bookkeeping ----------------------------------------------------

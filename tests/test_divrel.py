@@ -145,3 +145,20 @@ class TestRho:
 
     def test_summary_mentions_multiplicity_one(self):
         assert "multiplicities 1" in rho_divisor_enumeration(2).summary()
+
+
+def test_open_stratum_found_once_per_target_space(monkeypatch):
+    from treelevel import divrel
+
+    calls = []
+    real = divrel.enumerate_strata
+    monkeypatch.setattr(divrel, "enumerate_strata",
+                        lambda space: calls.append(space) or real(space))
+    divrel._open_keys.cache_clear()
+    before = verify_multiplihedron_pullback(4).summary()
+    verify_multiplihedron_pullback(4)
+    assert calls == [MULT(2)]
+    assert verify_m04_pullback(6, "13|24").ok
+    assert calls == [MULT(2), M0(4)]
+    divrel._open_keys.cache_clear()
+    assert verify_multiplihedron_pullback(4).summary() == before

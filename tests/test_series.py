@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from treelevel.errors import CapExceeded
+from treelevel.errors import CapExceeded, InvalidArgument
 from treelevel.series import Series, SeriesRing
 
 
@@ -106,3 +106,18 @@ class TestArithmetic:
         s = r.scalar(Fraction(5, 2)) * r.q_power(Fraction(1, 2)) * r.t("x")
         assert repr(s) == "5/2*x*q^(1/2)"
         assert repr(r.zero()) == "0"
+
+
+class TestNegativeCaps:
+    @pytest.mark.parametrize("cap", ["t_cap", "q_cap", "h_cap"])
+    def test_negative_cap_rejected(self, cap):
+        with pytest.raises(InvalidArgument, match=cap):
+            SeriesRing(tvars=["t0"], **{cap: -1})
+
+    def test_negative_fractional_q_cap_rejected(self):
+        with pytest.raises(InvalidArgument, match="q_cap"):
+            SeriesRing(q_denominator=2, q_cap=Fraction(-1, 2))
+
+    def test_zero_caps_keep_the_constants(self):
+        r = SeriesRing(tvars=["t0"], t_cap=0, q_cap=0, h_cap=0)
+        assert r.one() * r.one() == r.one()
