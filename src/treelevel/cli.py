@@ -316,7 +316,12 @@ def cmd_kirwan(args):
 def cmd_selftest(args):
     selected = None
     if args.criteria:
-        selected = {int(x) for x in args.criteria.split(",")}
+        selected = {_parse(int, x, "--criteria")
+                    for x in args.criteria.split(",")}
+        unknown = sorted(selected - {num for num, _, _ in selftest.CRITERIA})
+        if unknown:
+            raise InvalidArgument(
+                f"--criteria: no criterion {', '.join(map(str, unknown))}")
     results = selftest.run_all(selected)
     failed = 0
     for num, name, ok, detail in results:
@@ -385,10 +390,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except TreelevelError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as err:
+    except (TreelevelError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, InvalidGraph, KindMismatch, NoColoredVertex
-from .graphs import COLORED_KINDS, Color, Kind, is_stable, require_valid
+from .graphs import COLORED_KINDS, Color, is_stable, require_valid
 from .linalg import (
     cone_contains,
     det,
@@ -49,12 +49,6 @@ class ConeData:
     torsion: tuple = ()
 
 
-def _anchor(g):
-    if g.kind is Kind.COLORED_TREE:
-        return g.legs[0]
-    return g.root
-
-
 def relation_lattice(g):
     """Relation rows for the balanced labelling of a colored tree.
 
@@ -74,7 +68,7 @@ def relation_lattice(g):
     if not colored:
         raise NoColoredVertex("no colored vertex")
 
-    anchor = _anchor(g)
+    anchor = g.anchor
     nedges = len(g.edges)
     edge_at = {}
     for i, (a, b) in enumerate(g.edges):

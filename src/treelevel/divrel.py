@@ -68,12 +68,22 @@ def classify_under_forgetting(divisor, keep):
 
     target_space = MULT(want) if space.family == "mult" else M0(want)
     key = canonical_key(g)
-    for target in boundary_divisors(target_space):
-        if canonical_key(target.generic_type) == key:
-            return Classification(divisor, "boundary", target, 1)
+    target = _divisors_by_key(target_space).get(key)
+    if target is not None:
+        return Classification(divisor, "boundary", target, 1)
     if key not in _open_keys(target_space):
         raise KindMismatch("image is neither a divisor nor the open type")
     return Classification(divisor, "dominant")
+
+
+@functools.cache
+def _divisors_by_key(space):
+    """The boundary divisors of ``space`` by the canonical key of their
+    generic type, the first in order where two share a key."""
+    out = {}
+    for d in boundary_divisors(space):
+        out.setdefault(canonical_key(d.generic_type), d)
+    return out
 
 
 @functools.cache

@@ -107,8 +107,7 @@ class MarkedGraph:
         raise AttributeError(f"MarkedGraph is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        decor = self.genus or self.color or dict.fromkeys(self.vertex_ids)
-        return (MarkedGraph, (self.kind, dict(decor), self.edges,
+        return (MarkedGraph, (self.kind, self.decorations(), self.edges,
                               dict(self.legs), self.root))
 
     # -- basic accessors -------------------------------------------------
@@ -117,6 +116,19 @@ class MarkedGraph:
     def n(self):
         """Number of legs other than the root leg 0."""
         return len([l for l in self.legs if l != 0])
+
+    @property
+    def anchor(self):
+        """The vertex holding leg 0 in a colored tree, else the root vertex
+        (None for kinds without one)."""
+        if self.kind is Kind.COLORED_TREE:
+            return self.legs.get(0)
+        return self.root
+
+    def decorations(self):
+        """A new dict of the vertex decorations, in the form the
+        constructor takes them."""
+        return dict(self.genus or self.color or dict.fromkeys(self.vertex_ids))
 
     def legs_at(self, v):
         return sorted(l for l, w in self.legs.items() if w == v)
@@ -150,16 +162,6 @@ class MarkedGraph:
             elif b == v and a != v:
                 out.append(a)
         return out
-
-    def edge_index(self, u, v, skip=0):
-        """Index of the ``skip``-th edge between ``u`` and ``v``."""
-        pair = (u, v) if u <= v else (v, u)
-        for i, e in enumerate(self.edges):
-            if e == pair:
-                if skip == 0:
-                    return i
-                skip -= 1
-        raise KeyError(pair)
 
     def adjacency(self):
         """Neighbors of every vertex with multiplicity, loops excluded.
@@ -566,35 +568,29 @@ def require_valid(g):
     object.__setattr__(g, "_valid", True)
 
 
-def is_stable(g):
-    """Stability of the combinatorial type.
+def min_valence(g, v):
+    """The least valence at which vertex ``v`` of ``g`` is stable.
 
-    Modular: genus-0 vertices need valence >= 3 and genus-1 vertices
-    valence >= 1.  Rooted forest: non-root vertices need valence >= 3.
-    Colored kinds: zero/infinite-scaling vertices need valence >= 3 and
-    colored vertices valence >= 2; the root vertex of a rooted colored
-    tree is unconstrained.
+    A genus-g vertex needs 2g - 2 + valence > 0.  The root vertex of a
+    rooted kind is unconstrained, a colored vertex needs valence 2
+    (its component carries a free point at infinity) and every other
+    vertex, like genus zero, needs 3.
     """
+    if g.kind is Kind.MODULAR:
+        return max(0, 3 - 2 * g.genus[v])
+    if v == g.root:
+        return 0
+    if g.kind in COLORED_KINDS and g.color[v] is Color.COLORED:
+        return 2
+    return 3
+
+
+def is_stable(g):
+    """Stability of the combinatorial type: every vertex reaches its
+    :func:`min_valence`."""
     require_valid(g)
     valences = g.valences()
-    for v in g.vertex_ids:
-        val = valences[v]
-        if g.kind is Kind.MODULAR:
-            gen = g.genus[v]
-            if gen == 0 and val < 3:
-                return False
-            if gen == 1 and val < 1:
-                return False
-        elif g.kind is Kind.ROOTED_FOREST:
-            if v != g.root and val < 3:
-                return False
-        else:
-            if g.kind is Kind.ROOTED_COLORED_TREE and v == g.root:
-                continue
-            need = 2 if g.color[v] is Color.COLORED else 3
-            if val < need:
-                return False
-    return True
+    return all(valences[v] >= min_valence(g, v) for v in g.vertex_ids)
 
 
 # -- canonical form ----------------------------------------------------------
@@ -646,14 +642,9 @@ def _encode_rooted(g, v, parent, adj, legs_at, loops_at):
 
 def _component_key(g, comp, adj, legs_at, loops_at):
     comp_set = set(comp)
+    if g.anchor in comp_set:
+        return _encode_rooted(g, g.anchor, None, adj, legs_at, loops_at)
     legs_in = [l for l, v in g.legs.items() if v in comp_set]
-    forced = None
-    if g.kind is Kind.COLORED_TREE and 0 in legs_in:
-        forced = g.legs[0]
-    elif g.kind in ROOTED_KINDS and g.root in comp_set:
-        forced = g.root
-    if forced is not None:
-        return _encode_rooted(g, forced, None, adj, legs_at, loops_at)
     if legs_in:
         return _encode_rooted(g, g.legs[min(legs_in)], None, adj, legs_at,
                               loops_at)

@@ -4,8 +4,7 @@ Hermite normal forms, cone membership and extremal-ray filtering.
 
 Rank, primitive vectors and cone membership accept Fraction entries
 and clear their denominators once per vector, after which everything
-runs over Python ints; only the inverse behind lattice_equivalent uses
-Fractions.  No floats anywhere.
+runs over Python ints.  No floats anywhere.
 """
 
 from __future__ import annotations
@@ -242,28 +241,6 @@ def det(mat):
     return sign * last if len(pivots) == len(mat) else 0
 
 
-def _invert(mat):
-    k = len(mat)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(k)]
-           for i, row in enumerate(mat)]
-    for j in range(k):
-        piv = None
-        for i in range(j, k):
-            if aug[i][j] != 0:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[j], aug[piv] = aug[piv], aug[j]
-        inv = 1 / aug[j][j]
-        aug[j] = [x * inv for x in aug[j]]
-        for i in range(k):
-            if i != j and aug[i][j] != 0:
-                f = aug[i][j]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[j])]
-    return [row[k:] for row in aug]
-
-
 def lattice_equivalent(rays_a, rays_b):
     """Whether two ray sets differ by a GL(d, Z) change of lattice basis.
 
@@ -288,15 +265,20 @@ def lattice_equivalent(rays_a, rays_b):
         # degenerate span; compare spans and fall back to rank equality
         return frac_rank(A) == frac_rank(B)
     S = [list(col) for col in zip(*basis)]  # columns are the basis rays
-    S_inv = _invert(S)
+    # S^{-1} = adj(S) / det(S), with adj(S)[i][j] the (j, i) cofactor
+    D = det(S)
+    adj = [[(-1) ** (i + j) * det([row[:i] + row[i + 1:]
+                                   for k, row in enumerate(S) if k != j])
+            for j in range(d)] for i in range(d)]
     for image in itertools.permutations(range(len(B)), d):
         T = [list(col) for col in zip(*[B[i] for i in image])]
-        # U maps basis -> image: U = T * S^{-1}
-        U = [[sum(T[i][k] * S_inv[k][j] for k in range(d)) for j in range(d)]
+        # U maps basis -> image: U = T * adj(S) / det(S), integral exactly
+        # when det(S) divides every entry of T * adj(S)
+        U = [[sum(T[i][k] * adj[k][j] for k in range(d)) for j in range(d)]
              for i in range(d)]
-        if any(x.denominator != 1 for row in U for x in row):
+        if any(x % D for row in U for x in row):
             continue
-        U = [[int(x) for x in row] for row in U]
+        U = [[x // D for x in row] for row in U]
         if abs(det(U)) != 1:
             continue
         mapped = {tuple(sum(U[i][k] * a[k] for k in range(d))

@@ -28,16 +28,9 @@ from .graphs import (
     Kind,
     MarkedGraph,
     is_stable,
+    min_valence,
     require_valid,
 )
-
-
-def _vertex_decor(g):
-    if g.kind is Kind.MODULAR:
-        return dict(g.genus)
-    if g.kind in COLORED_KINDS:
-        return dict(g.color)
-    return {v: None for v in g.vertex_ids}
 
 
 def collapse_edge(g, edge):
@@ -52,7 +45,7 @@ def collapse_edge(g, edge):
     if not 0 <= edge < len(g.edges):
         raise NoSuchEdge(f"edge index {edge}")
     a, b = g.edges[edge]
-    decor = _vertex_decor(g)
+    decor = g.decorations()
 
     if a == b:
         if g.kind is not Kind.MODULAR:
@@ -116,7 +109,7 @@ def collapse_with_relations(g, center):
 
     merged = set(colored_nbrs) | {center}
     keep = center
-    decor = _vertex_decor(g)
+    decor = g.decorations()
     for v in colored_nbrs:
         decor.pop(v)
     decor[keep] = Color.COLORED
@@ -164,7 +157,7 @@ def cut_edge(g, edge, new_labels):
     legs = dict(g.legs)
     legs[int(l1)] = a
     legs[int(l2)] = b
-    out = MarkedGraph(g.kind, _vertex_decor(g), edges, legs, g.root)
+    out = MarkedGraph(g.kind, g.decorations(), edges, legs, g.root)
     require_valid(out)
     return out
 
@@ -194,26 +187,8 @@ def _depths(g, anchor):
 
 
 def _unstable_vertices(g):
-    out = []
     valences = g.valences()
-    for v in g.vertex_ids:
-        if g.kind in (Kind.ROOTED_FOREST, Kind.ROOTED_COLORED_TREE) and v == g.root:
-            continue
-        val = valences[v]
-        if g.kind is Kind.MODULAR:
-            if g.genus[v] == 0 and val < 3:
-                out.append(v)
-            elif g.genus[v] >= 1 and val < 1:
-                raise InvalidGraph(
-                    f"cannot stabilize an isolated genus-{g.genus[v]} vertex")
-        elif g.kind is Kind.ROOTED_FOREST:
-            if val < 3:
-                out.append(v)
-        else:
-            need = 2 if g.color[v] is Color.COLORED else 3
-            if val < need:
-                out.append(v)
-    return out
+    return [v for v in g.vertex_ids if valences[v] < min_valence(g, v)]
 
 
 def _remove_valence_one(g, v):
@@ -221,7 +196,7 @@ def _remove_valence_one(g, v):
     edges_at = [i for i, (x, y) in enumerate(g.edges) if v in (x, y)]
     if len(edges_at) != 1 or g.legs_at(v):
         raise InvalidGraph(f"vertex {v} cannot be removed cleanly")
-    decor = _vertex_decor(g)
+    decor = g.decorations()
     decor.pop(v)
     edges = [e for i, e in enumerate(g.edges) if i != edges_at[0]]
     return MarkedGraph(g.kind, decor, edges, g.legs, g.root)
@@ -234,7 +209,7 @@ def _fuse_valence_two(g, v):
     legs_at = g.legs_at(v)
     if any(x == y for i, (x, y) in enumerate(g.edges) if i in edges_at):
         raise InvalidGraph(f"cannot fuse through a loop at {v}")
-    decor = _vertex_decor(g)
+    decor = g.decorations()
     decor.pop(v)
     edges = [e for i, e in enumerate(g.edges) if i not in edges_at]
     legs = dict(g.legs)
@@ -247,7 +222,8 @@ def _fuse_valence_two(g, v):
     elif len(nbrs) == 1 and len(legs_at) == 1:
         legs[legs_at[0]] = nbrs[0]
     else:
-        # two legs and no edge: a whole component fell below the minimum
+        # no edge and two legs or none: a whole component fell below the
+        # minimum
         raise MinimumMarkings(
             f"component at vertex {v} cannot absorb its markings")
     return MarkedGraph(g.kind, decor, edges, legs, g.root)
@@ -277,19 +253,13 @@ def forget_tail(g, leg):
 
     legs = dict(g.legs)
     legs.pop(leg)
-    cur = MarkedGraph(g.kind, _vertex_decor(g), g.edges, legs, g.root)
+    cur = MarkedGraph(g.kind, g.decorations(), g.edges, legs, g.root)
 
     while True:
         unstable = _unstable_vertices(cur)
         if not unstable:
             break
-        if cur.kind is Kind.COLORED_TREE:
-            anchor = cur.legs.get(0)
-        elif cur.kind in (Kind.ROOTED_FOREST, Kind.ROOTED_COLORED_TREE):
-            anchor = cur.root
-        else:
-            anchor = None
-        depth = _depths(cur, anchor)
+        depth = _depths(cur, cur.anchor)
         v = max(unstable, key=lambda w: (depth[w], w))
         if cur.kind in COLORED_KINDS and cur.color[v] is Color.COLORED:
             cur = _remove_valence_one(cur, v)
@@ -311,7 +281,7 @@ def relabel_legs(g, mapping):
         new[nl] = v
     if g.kind in COLORED_KINDS and (0 in g.legs) != (0 in new):
         raise DuplicateLegLabel("relabeling must preserve the root leg 0")
-    out = MarkedGraph(g.kind, _vertex_decor(g), g.edges, new, g.root)
+    out = MarkedGraph(g.kind, g.decorations(), g.edges, new, g.root)
     require_valid(out)
     return out
 

@@ -165,9 +165,6 @@ class Series:
     def is_zero(self):
         return not self.coeffs
 
-    def constant_term(self):
-        return self.coeffs.get(((0,) * len(self.ring.tvars), 0, 0), Fraction(0))
-
     def coefficient(self, texp=None, q=0, h=0):
         texp = tuple(texp or (0,) * len(self.ring.tvars))
         qnum = Fraction(q) * self.ring.q_denominator

@@ -41,6 +41,7 @@ from .graphs import (
     _vertex_code,
     canonical_key,
     is_stable,
+    min_valence,
     require_valid,
 )
 
@@ -127,26 +128,31 @@ def SCALED(n):
 # with tags "b" (genus-zero bubble / zero scaling), "c" (colored),
 # "i" (infinite scaling), "r" (parametrized root component).
 
-def _partitions_min2(legset):
-    if not legset:
-        yield ()
-        return
-    yield from set_partitions(legset, min_block=2)
+def _branches(tag, legset, min_branches):
+    """Nodes tagged ``tag`` over the frozenset ``legset``: the legs on the
+    node's own vertex, and stable bubble trees on blocks of at least two
+    of the other legs, with at least ``min_branches`` legs and blocks
+    in all."""
+    for own in subsets(legset):
+        for blocks in set_partitions(legset - own, min_block=2):
+            if len(own) + len(blocks) >= min_branches:
+                for combo in itertools.product(*map(_m0_rooted, blocks)):
+                    yield (tag, own, combo)
+
+
+def _infinite(legset, min_blocks):
+    """Infinite-scaling nodes over ``legset`` with at least ``min_blocks``
+    colored branches below them."""
+    for blocks in set_partitions(legset, min_blocks=min_blocks):
+        for combo in itertools.product(*map(_mult_rooted, blocks)):
+            yield ("i", frozenset(), combo)
 
 
 @functools.cache
 def _m0_rooted(legset):
     """Stable bubble trees over the frozenset ``legset`` hanging from one
-    upward edge."""
-    out = []
-    for own in subsets(legset):
-        rest = legset - own
-        for blocks in _partitions_min2(rest):
-            if 1 + len(own) + len(blocks) < 3:
-                continue
-            for combo in itertools.product(*[_m0_rooted(b) for b in blocks]):
-                out.append(("b", own, combo))
-    return out
+    upward edge: with that edge a bubble needs three special points."""
+    return list(_branches("b", legset, 2))
 
 
 @functools.cache
@@ -155,16 +161,7 @@ def _mult_rooted(legset):
     upward root edge."""
     if not legset:
         raise InvalidGraph("a colored branch must carry at least one leg")
-    out = []
-    for own in subsets(legset):
-        rest = legset - own
-        for blocks in _partitions_min2(rest):
-            for combo in itertools.product(*[_m0_rooted(b) for b in blocks]):
-                out.append(("c", own, combo))
-    for blocks in set_partitions(legset, min_blocks=2):
-        for combo in itertools.product(*[_mult_rooted(b) for b in blocks]):
-            out.append(("i", frozenset(), combo))
-    return out
+    return list(_branches("c", legset, 0)) + list(_infinite(legset, 2))
 
 
 _TAG_COLOR = {"b": Color.ZERO, "c": Color.COLORED, "i": Color.INFINITY}
@@ -207,32 +204,17 @@ def _raw_strata(space):
     n = space.n
     legset = frozenset(range(1, n + 1))
     if space.family == "m0":
-        top = n
-        rest = legset - {top}
-        for own in subsets(rest):
-            for blocks in _partitions_min2(rest - own):
-                if len(own) + 1 + len(blocks) < 3:
-                    continue
-                for combo in itertools.product(*[_m0_rooted(b) for b in blocks]):
-                    yield ("b", own | {top}, combo)
+        # a bubble tree on legs 1..n-1 whose upward edge becomes leg n;
+        # _branches, not the cached _m0_rooted, so the list is not kept
+        yield from (("b", own | {n}, combo)
+                    for _, own, combo in _branches("b", legset - {n}, 2))
     elif space.family == "fm":
-        for own in subsets(legset):
-            for blocks in _partitions_min2(legset - own):
-                for combo in itertools.product(*[_m0_rooted(b) for b in blocks]):
-                    yield ("r", own, combo)
+        yield from _branches("r", legset, 0)
     elif space.family == "mult":
         yield from _mult_rooted(legset)
     else:
-        for own in subsets(legset):
-            for blocks in _partitions_min2(legset - own):
-                for combo in itertools.product(*[_m0_rooted(b) for b in blocks]):
-                    yield ("c", own, combo)
-        if n == 0:
-            yield ("i", frozenset(), ())
-        else:
-            for blocks in set_partitions(legset, min_blocks=1):
-                for combo in itertools.product(*[_mult_rooted(b) for b in blocks]):
-                    yield ("i", frozenset(), combo)
+        yield from itertools.chain(_branches("c", legset, 0),
+                                   _infinite(legset, 0))
 
 
 # -- canonical keys of nodes --------------------------------------------------
@@ -318,11 +300,18 @@ def enumerate_strata(space):
     deterministic.  The graphs are validated at their first
     :func:`~treelevel.graphs.require_valid`.
     """
-    space.guard()
-    # the memo of subtree codes is dropped before any graph is built
-    nodes = sorted(_raw_strata(space),
-                   key=functools.partial(_node_key, space, memo={}))
+    # the keys and the memo of subtree codes go before any graph is built
+    nodes = [node for _, node in _keyed_nodes(space)]
     return [_materialize(space, node) for node in nodes]
+
+
+def _keyed_nodes(space):
+    """The ``(canonical key, node)`` pairs of the strata of ``space``,
+    sorted by key; the keys are distinct."""
+    space.guard()
+    memo = {}
+    return sorted((_node_key(space, node, memo), node)
+                  for node in _raw_strata(space))
 
 
 # -- dimension bookkeeping ----------------------------------------------------
@@ -336,12 +325,12 @@ def _check_space_graph(g, space):
 def stratum_dimension(g, space):
     """Sum of per-vertex moduli dimensions.
 
-    A genus-g vertex of valence k contributes 3g - 3 + k; zero- and
-    infinite-scaling vertices behave like genus zero, a colored vertex
-    contributes k - 2 (its component carries a free point at infinity),
-    a parametrized root contributes k (a configuration of k points on
-    the curve) and a colored root k + 1 (k points plus the scaling
-    value).
+    A genus-g vertex of valence k contributes 3g - 3 + k.  Any other
+    vertex but the root contributes k less its
+    :func:`~treelevel.graphs.min_valence`: k - 2 for a colored vertex
+    and k - 3 for the rest, like genus zero.  A parametrized root
+    contributes k (a configuration of k points on the curve) and a
+    colored root k + 1 (k points plus the scaling value).
     """
     _check_space_graph(g, space)
     if not is_stable(g):
@@ -352,12 +341,10 @@ def stratum_dimension(g, space):
         k = valences[v]
         if g.kind is Kind.MODULAR:
             total += 3 * g.genus[v] - 3 + k
-        elif g.kind is Kind.ROOTED_FOREST:
-            total += k if v == g.root else k - 3
-        elif g.kind is Kind.ROOTED_COLORED_TREE and v == g.root:
-            total += k + 1 if g.color[v] is Color.COLORED else k
+        elif v == g.root:
+            total += k + 1 if g.color.get(v) is Color.COLORED else k
         else:
-            total += k - 2 if g.color[v] is Color.COLORED else k - 3
+            total += k - min_valence(g, v)
     return total
 
 
@@ -372,13 +359,12 @@ def stratum_codimension(g, space):
     _check_space_graph(g, space)
     if g.kind in (Kind.MODULAR, Kind.ROOTED_FOREST):
         return len(g.edges)
-    anchor = g.legs.get(0) if g.kind is Kind.COLORED_TREE else g.root
     total = 0
     for comp in g.components():
         comp_set = set(comp)
         e = sum(1 for a, b in g.edges if a in comp_set)
         v1 = sum(1 for v in comp if g.color[v] is Color.COLORED)
-        if anchor in comp_set or v1 >= 1:
+        if g.anchor in comp_set or v1 >= 1:
             total += e + 1 - v1
         else:
             total += e
@@ -541,7 +527,7 @@ class ClosurePoset:
 def closure_poset(space):
     if space.n > 5:
         raise TooLarge("closure poset is guarded at n <= 5")
-    strata = {canonical_key(g): g for g in enumerate_strata(space)}
+    strata = {k: _materialize(space, node) for k, node in _keyed_nodes(space)}
     codim = {k: stratum_codimension(g, space) for k, g in strata.items()}
     covers = {k: set() for k in strata}
     for k, g in strata.items():

@@ -179,6 +179,21 @@ class TestUsage:
         assert main(argv) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("argv", [
+        ["cone", "--graph"],
+        ["strata", "--space", "mult", "--n", "2", "--dot"],
+        ["cohft", "solve-qde", "--spec"],
+    ], ids=["cone-graph", "strata-dot", "cohft-spec"])
+    def test_directory_path_exits_two(self, argv, tmp_path, capsys):
+        assert main(argv + [str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("criteria", ["abc", "99"])
+    def test_bad_selftest_criteria_exit_two(self, criteria, capsys):
+        assert main(["selftest", "--criteria", criteria]) == 2
+        assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("text", [
         "{bad",
         json.dumps({"kind": "colored_tree", "vertices": [{"id": 0}],

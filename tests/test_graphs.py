@@ -23,6 +23,7 @@ from treelevel.graphs import (
     colored_tree,
     is_isomorphic,
     is_stable,
+    min_valence,
     modular_graph,
     require_valid,
     rooted_colored_tree,
@@ -157,6 +158,13 @@ class TestStability:
         assert is_stable(rooted_forest([0], [], {}, root=0))
         g = rooted_colored_tree({0: Color.INFINITY}, [], {}, root=0)
         assert is_stable(g)
+
+    @pytest.mark.parametrize("genus", range(4))
+    def test_min_valence_is_modular_stability(self, genus):
+        for k in range(6):
+            g = modular_graph({0: genus}, [], {l: 0 for l in range(1, k + 1)})
+            assert (k >= min_valence(g, 0)) == (2 * genus - 2 + k > 0)
+            assert is_stable(g) == (2 * genus - 2 + k > 0)
 
     def test_invalid_graph_raises(self):
         g = colored_tree({0: Color.COLORED}, [(0, 0)], {0: 0, 1: 0})

@@ -183,6 +183,17 @@ class TestForgetTail:
         with pytest.raises(MinimumMarkings):
             forget_tail(g, 3)
 
+    def test_genus_two_keeps_no_legs(self):
+        # 2g - 2 + 0 > 0 for g = 2: the bare genus-2 curve is stable
+        out = forget_tail(modular_graph({0: 2}, [], {1: 0}), 1)
+        assert out == modular_graph({0: 2})
+        assert is_stable(out)
+
+    def test_isolated_genus_one_component(self):
+        g = modular_graph({0: 1, 1: 0}, [], {1: 0, 2: 1, 3: 1, 4: 1})
+        with pytest.raises(MinimumMarkings):
+            forget_tail(g, 1)
+
     def test_minimum_markings_colored(self):
         with pytest.raises(MinimumMarkings):
             forget_tail(open_mult(1), 1)
