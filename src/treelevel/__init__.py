@@ -34,6 +34,7 @@ from .strata import (
     boundary_divisors,
     closure_poset,
     enumerate_strata,
+    iter_strata,
     stratum_codimension,
     stratum_dimension,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "boundary_divisors",
     "closure_poset",
     "enumerate_strata",
+    "iter_strata",
     "stratum_codimension",
     "stratum_dimension",
     "ConeData",

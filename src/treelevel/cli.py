@@ -19,13 +19,7 @@ from .cones import cone_summary
 from .errors import InvalidArgument, TreelevelError
 from .graphs import MarkedGraph
 from .series import SeriesRing
-from .strata import (
-    SpaceKind,
-    boundary_divisors,
-    enumerate_strata,
-    stratum_codimension,
-    stratum_dimension,
-)
+from .strata import SpaceKind, boundary_divisors, iter_strata
 
 
 def _frac_str(x):
@@ -114,33 +108,42 @@ def _divisor_record(d):
 
 def cmd_strata(args):
     space = _space(args)
-    strata = enumerate_strata(space)
     divisors = [_divisor_record(d) for d in boundary_divisors(space)]
-
-    def records():
-        for g in strata:
-            rec = g.to_json_obj()
-            rec["dimension"] = stratum_dimension(g, space)
-            rec["codimension"] = stratum_codimension(g, space)
-            yield rec
-
-    if args.json:
-        _write_json({"space": str(space),
-                     "ambient_dimension": space.ambient_dimension,
-                     "divisors": divisors, "strata": records()},
-                    stream="strata")
-    else:
-        print(f"{space}: ambient dimension {space.ambient_dimension}, "
-              f"{len(strata)} strata, {len(divisors)} boundary divisors")
-        for rec in records():
-            print(f"  dim {rec['dimension']} codim {rec['codimension']}: "
-                  f"{len(rec['vertices'])} vertices, {len(rec['edges'])} edges")
-        for d in divisors:
-            print(f"  divisor {d['name']} (dim {d['dimension']})")
     if args.dot:
-        with open(args.dot, "w") as fh:
-            for g in strata:
-                fh.write(g.to_dot())
+        # a bad path fails before the enumeration; an existing file is
+        # left as it is until the strata are sorted
+        open(args.dot, "a").close()
+    strata = iter_strata(space)
+    # the DOT file is written in the same pass as the listing
+    dot = open(args.dot, "w") if args.dot else None
+    try:
+        def records():
+            for g, dimension, codimension in strata:
+                if dot is not None:
+                    dot.write(g.to_dot())
+                rec = g.to_json_obj()
+                rec["dimension"] = dimension
+                rec["codimension"] = codimension
+                yield rec
+
+        if args.json:
+            _write_json({"space": str(space),
+                         "ambient_dimension": space.ambient_dimension,
+                         "divisors": divisors, "strata": records()},
+                        stream="strata")
+        else:
+            print(f"{space}: ambient dimension {space.ambient_dimension}, "
+                  f"{len(strata)} strata, {len(divisors)} boundary divisors")
+            for rec in records():
+                print(f"  dim {rec['dimension']} codim {rec['codimension']}: "
+                      f"{len(rec['vertices'])} vertices, "
+                      f"{len(rec['edges'])} edges")
+            for d in divisors:
+                print(f"  divisor {d['name']} (dim {d['dimension']})")
+    finally:
+        if dot is not None:
+            dot.close()
+    if dot is not None:
         print(f"wrote {len(strata)} graphs to {args.dot}", file=sys.stderr)
     return 0
 

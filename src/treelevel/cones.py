@@ -14,7 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import Disconnected, InvalidGraph, KindMismatch, NoColoredVertex
-from .graphs import COLORED_KINDS, Color, is_stable, require_valid
+from .graphs import (
+    COLORED_KINDS,
+    Color,
+    _parents,
+    _path_up,
+    is_stable,
+    require_valid,
+)
 from .linalg import (
     cone_contains,
     det,
@@ -68,16 +75,17 @@ def relation_lattice(g):
     if not colored:
         raise NoColoredVertex("no colored vertex")
 
-    anchor = g.anchor
     nedges = len(g.edges)
     edge_at = {}
     for i, (a, b) in enumerate(g.edges):
         edge_at[(a, b)] = i
         edge_at[(b, a)] = i
+    # every path runs up to the anchor (leg 0's vertex or the root)
+    parents = _parents(g.adjacency(), g.anchor)
 
     def chi(v):
         vec = [0] * nedges
-        path = g.path_vertices(v, anchor)
+        path = _path_up(parents, v)
         for a, b in zip(path, path[1:]):
             vec[edge_at[(a, b)]] = 1
         return vec

@@ -199,45 +199,15 @@ class MarkedGraph:
     def is_connected(self):
         return len(self.components()) <= 1
 
-    def is_forest(self, adj=None):
-        """True when there are no loops, parallel edges or cycles."""
+    def is_forest(self, comps):
+        """True when there are no loops, parallel edges or cycles;
+        ``comps`` are the graph's :meth:`components`."""
         if any(a == b for a, b in self.edges):
             return False
         if len(set(self.edges)) != len(self.edges):
             return False
         # acyclic <=> every component has #edges = #vertices - 1
-        return (len(self.edges)
-                == len(self.vertex_ids) - len(self.components(adj)))
-
-    def path_vertices(self, u, v, adj=None):
-        """Vertices along the unique simple path from u to v (inclusive).
-
-        Only meaningful on forest graphs; raises KeyError when u and v
-        are in different components.
-        """
-        if adj is None:
-            adj = self.adjacency()
-        prev = {u: None}
-        queue = [u]
-        while queue:
-            nxt = []
-            for w in queue:
-                if w == v:
-                    queue = []
-                    break
-                for x in adj[w]:
-                    if x not in prev:
-                        prev[x] = w
-                        nxt.append(x)
-            else:
-                queue = nxt
-        if v not in prev:
-            raise KeyError((u, v))
-        path = [v]
-        while path[-1] != u:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
+        return len(self.edges) == len(self.vertex_ids) - len(comps)
 
     # -- equality / hashing ----------------------------------------------
 
@@ -396,14 +366,40 @@ def _check_references(g, problems):
         problems.append(f"root {g.root} is not a vertex")
 
 
-def _monotone_path_problems(g, leg, top, problems, adj):
-    """Check the color pattern on the path from ``leg``'s vertex to ``top``.
+def _parents(adj, top):
+    """The parent of each vertex of a tree component hung from ``top``;
+    ``top`` itself maps to None.  Walks the component of ``top`` once."""
+    parents = {top: None}
+    stack = [top]
+    while stack:
+        w = stack.pop()
+        for x in adj[w]:
+            if x not in parents:
+                parents[x] = w
+                stack.append(x)
+    return parents
+
+
+def _path_up(parents, v):
+    """Vertices on the path from ``v`` up to the top of ``parents``, both
+    included; KeyError when ``v`` is not below that top."""
+    path = [v]
+    up = parents[v]
+    while up is not None:
+        path.append(up)
+        up = parents[up]
+    return path
+
+
+def _monotone_path_problems(g, leg, parents, problems):
+    """Check the color pattern on the path from ``leg``'s vertex up to
+    the top of ``parents``.
 
     Exactly one colored vertex; zero scaling strictly before it and
     infinite scaling strictly after it.
     """
     try:
-        path = g.path_vertices(g.legs[leg], top, adj)
+        path = _path_up(parents, g.legs[leg])
     except KeyError:
         problems.append(f"leg {leg} disconnected from the root side")
         return
@@ -467,9 +463,11 @@ def validate(g):
                 problems.append(f"vertex {v} has negative genus")
         return problems
 
-    # tree kinds: forests only; one adjacency serves every check below
+    # tree kinds: forests only; one adjacency and one list of components
+    # serve every check below
     adj = g.adjacency()
-    if not g.is_forest(adj):
+    comps = g.components(adj)
+    if not g.is_forest(comps):
         problems.append("tree kinds must be loop-free, multi-edge-free forests")
         return problems
     if problems:
@@ -478,16 +476,16 @@ def validate(g):
     if g.kind is Kind.ROOTED_FOREST:
         return problems
 
-    comps = g.components(adj)
     if g.kind is Kind.COLORED_TREE:
         v0 = g.legs[0]
         for comp in comps:
             if v0 in comp:
                 if g.color[v0] is Color.ZERO:
                     problems.append("leg 0 sits on a zero-scaling vertex")
+                parents = _parents(adj, v0)
                 for l in g.legs:
                     if l != 0 and g.legs[l] in comp:
-                        _monotone_path_problems(g, l, v0, problems, adj)
+                        _monotone_path_problems(g, l, parents, problems)
                 _component_edge_rule(g, comp, problems)
             else:
                 cs = {g.color[v] for v in comp}
@@ -522,6 +520,7 @@ def validate(g):
             # colored tree with the attaching edge as its leg 0, or a
             # zero-only tree
             allowed = set()
+            parents = _parents(adj, r)
             for w in set(adj[r]):
                 sub = _subtree_vertices(r, w, adj)
                 subcolors = {g.color[v] for v in sub}
@@ -530,7 +529,7 @@ def validate(g):
                     continue
                 for l, lv in g.legs.items():
                     if lv in sub:
-                        _monotone_path_problems(g, l, r, problems, adj)
+                        _monotone_path_problems(g, l, parents, problems)
             for l, lv in g.legs.items():
                 if lv == r:
                     problems.append(

@@ -16,7 +16,6 @@ its independent check lives in :mod:`treelevel.bruteforce`.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -128,7 +127,7 @@ def SCALED(n):
 # with tags "b" (genus-zero bubble / zero scaling), "c" (colored),
 # "i" (infinite scaling), "r" (parametrized root component).
 
-def _branches(tag, legset, min_branches):
+def _branches(tag, legset, min_branches, memo):
     """Nodes tagged ``tag`` over the frozenset ``legset``: the legs on the
     node's own vertex, and stable bubble trees on blocks of at least two
     of the other legs, with at least ``min_branches`` legs and blocks
@@ -136,32 +135,41 @@ def _branches(tag, legset, min_branches):
     for own in subsets(legset):
         for blocks in set_partitions(legset - own, min_block=2):
             if len(own) + len(blocks) >= min_branches:
-                for combo in itertools.product(*map(_m0_rooted, blocks)):
+                for combo in itertools.product(
+                        *(_m0_rooted(b, memo) for b in blocks)):
                     yield (tag, own, combo)
 
 
-def _infinite(legset, min_blocks):
+def _infinite(legset, min_blocks, memo):
     """Infinite-scaling nodes over ``legset`` with at least ``min_blocks``
     colored branches below them."""
     for blocks in set_partitions(legset, min_blocks=min_blocks):
-        for combo in itertools.product(*map(_mult_rooted, blocks)):
+        for combo in itertools.product(*(_mult_rooted(b, memo) for b in blocks)):
             yield ("i", frozenset(), combo)
 
 
-@functools.cache
-def _m0_rooted(legset):
+# ``memo`` maps (tag, legset) to the list of subtrees over legset; it
+# lives for one enumeration, so equal subtrees within it are one object.
+
+def _m0_rooted(legset, memo):
     """Stable bubble trees over the frozenset ``legset`` hanging from one
     upward edge: with that edge a bubble needs three special points."""
-    return list(_branches("b", legset, 2))
+    key = ("b", legset)
+    if key not in memo:
+        memo[key] = list(_branches("b", legset, 2, memo))
+    return memo[key]
 
 
-@functools.cache
-def _mult_rooted(legset):
+def _mult_rooted(legset, memo):
     """Stable colored trees over the frozenset ``legset`` hanging from an
     upward root edge."""
     if not legset:
         raise InvalidGraph("a colored branch must carry at least one leg")
-    return list(_branches("c", legset, 0)) + list(_infinite(legset, 2))
+    key = ("c", legset)
+    if key not in memo:
+        memo[key] = (list(_branches("c", legset, 0, memo))
+                     + list(_infinite(legset, 2, memo)))
+    return memo[key]
 
 
 _TAG_COLOR = {"b": Color.ZERO, "c": Color.COLORED, "i": Color.INFINITY}
@@ -203,18 +211,19 @@ def _materialize(space, node):
 def _raw_strata(space):
     n = space.n
     legset = frozenset(range(1, n + 1))
+    memo = {}
     if space.family == "m0":
         # a bubble tree on legs 1..n-1 whose upward edge becomes leg n;
-        # _branches, not the cached _m0_rooted, so the list is not kept
+        # _branches, not _m0_rooted, so the memo keeps no list of them
         yield from (("b", own | {n}, combo)
-                    for _, own, combo in _branches("b", legset - {n}, 2))
+                    for _, own, combo in _branches("b", legset - {n}, 2, memo))
     elif space.family == "fm":
-        yield from _branches("r", legset, 0)
+        yield from _branches("r", legset, 0, memo)
     elif space.family == "mult":
-        yield from _mult_rooted(legset)
+        yield from _mult_rooted(legset, memo)
     else:
-        yield from itertools.chain(_branches("c", legset, 0),
-                                   _infinite(legset, 0))
+        yield from itertools.chain(_branches("c", legset, 0, memo),
+                                   _infinite(legset, 0, memo))
 
 
 # -- canonical keys of nodes --------------------------------------------------
@@ -300,9 +309,7 @@ def enumerate_strata(space):
     deterministic.  The graphs are validated at their first
     :func:`~treelevel.graphs.require_valid`.
     """
-    # the keys and the memo of subtree codes go before any graph is built
-    nodes = [node for _, node in _keyed_nodes(space)]
-    return [_materialize(space, node) for node in nodes]
+    return [_materialize(space, node) for node in iter_strata(space).nodes]
 
 
 def _keyed_nodes(space):
@@ -312,6 +319,42 @@ def _keyed_nodes(space):
     memo = {}
     return sorted((_node_key(space, node, memo), node)
                   for node in _raw_strata(space))
+
+
+def iter_strata(space):
+    """The strata of ``space`` in the order of :func:`enumerate_strata`,
+    built one at a time.
+
+    Returns a sized iterable.  Its ``len`` is the number of strata,
+    known from the sorted recursion nodes before any graph is built.
+    Iterating it yields ``(graph, dimension, codimension)`` for one
+    stratum at a time, the two numbers from :func:`stratum_dimension`
+    and :func:`stratum_codimension`, each computed on its own; the
+    graph passes one full :func:`~treelevel.graphs.validate` and one
+    :func:`is_stable` on the way.  Only the nodes are held, never the
+    list of graphs.
+    """
+    # the keys and the memo of subtree codes go before any graph is built
+    return _Strata(space, [node for _, node in _keyed_nodes(space)])
+
+
+class _Strata:
+    """The sorted recursion nodes of one space; see :func:`iter_strata`."""
+
+    __slots__ = ("space", "nodes")
+
+    def __init__(self, space, nodes):
+        self.space = space
+        self.nodes = nodes
+
+    def __len__(self):
+        return len(self.nodes)
+
+    def __iter__(self):
+        space = self.space
+        for node in self.nodes:
+            g = _materialize(space, node)
+            yield g, stratum_dimension(g, space), stratum_codimension(g, space)
 
 
 # -- dimension bookkeeping ----------------------------------------------------

@@ -74,6 +74,42 @@ class TestStrataCommand:
                      "--dot", str(target)]) == 0
         assert target.read_text().count("graph marked_graph") == 4
 
+    def test_unwritable_dot_fails_before_any_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.dot"
+        assert main(["strata", "--space", "mult", "--n", "4",
+                     "--dot", str(target)]) == 2
+        assert_one_line_error(capsys)
+
+    def test_existing_dot_is_kept_when_the_enumeration_fails(
+            self, tmp_path, monkeypatch):
+        from treelevel import strata
+
+        def fail(space):
+            raise MemoryError
+
+        monkeypatch.setattr(strata, "_keyed_nodes", fail)
+        target = tmp_path / "out.dot"
+        target.write_text("kept\n")
+        with pytest.raises(MemoryError):
+            main(["strata", "--space", "mult", "--n", "3",
+                  "--dot", str(target)])
+        assert target.read_text() == "kept\n"
+
+    def test_dot_is_written_in_the_listing_pass(self, tmp_path, capsys,
+                                                monkeypatch):
+        from treelevel import strata
+
+        spaces = []
+        real = strata._raw_strata
+        monkeypatch.setattr(strata, "_raw_strata",
+                            lambda space: spaces.append(space) or real(space))
+        target = tmp_path / "out.dot"
+        assert main(["strata", "--space", "mult", "--n", "3", "--json",
+                     "--dot", str(target)]) == 0
+        assert spaces == [strata.MULT(3)]
+        assert target.read_text().count("graph marked_graph") == 18
+        assert len(json.loads(capsys.readouterr().out)["strata"]) == 18
+
 
 class TestConeCommand:
     def test_singular_example(self, tmp_path, capsys):
