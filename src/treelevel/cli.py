@@ -196,9 +196,22 @@ def _parse_terms(ring, raw):
     return terms
 
 
+# Upper guards on the cohft sizes.  On the README's cohft examples the
+# time does not grow with --order (the spec's arities bound the degrees
+# reached) and grows about quadratically with --q-cap.
+MAX_ORDER = 30
+MAX_Q_CAP = 100
+
+
 def _nonnegative(value, name):
     if value < 0:
         raise InvalidArgument(f"{name} must be nonnegative, not {value}")
+    return value
+
+
+def _at_most(value, name, bound):
+    if _nonnegative(value, name) > bound:
+        raise InvalidArgument(f"{name} must be at most {bound}, not {value}")
     return value
 
 
@@ -214,7 +227,7 @@ def _cohft_inputs(args):
                                     range(len(spec.get("basis_v",
                                                        spec.get("basis", []))))],
         q_denominator=spec.get("q_denominator", 1),
-        t_cap=_nonnegative(order, "order"),
+        t_cap=_at_most(order, "order", MAX_ORDER),
         q_cap=_nonnegative(Fraction(str(spec.get("q_cap", 0))), "q_cap"),
     )
     if args.cohft_command == "check-star-morphism":
@@ -243,7 +256,7 @@ def _cohft_inputs(args):
 
 
 def cmd_cohft(args):
-    _nonnegative(args.q_cap, "--q-cap")
+    _at_most(args.q_cap, "--q-cap", MAX_Q_CAP)
     try:
         inputs = _cohft_inputs(args)
     except KeyError as err:
@@ -318,7 +331,7 @@ def cmd_kirwan(args):
 
 def cmd_selftest(args):
     selected = None
-    if args.criteria:
+    if args.criteria is not None:
         selected = {_parse(int, x, "--criteria")
                     for x in args.criteria.split(",")}
         unknown = sorted(selected - {num for num, _, _ in selftest.CRITERIA})

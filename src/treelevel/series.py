@@ -9,6 +9,8 @@ arithmetic truncates at the ring caps and stays exact.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import CapExceeded, InvalidArgument
@@ -100,7 +102,7 @@ class Series:
         self.coeffs = {k: v for k, v in coeffs.items() if v != 0}
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("series from different rings")
 
     def __add__(self, other):
@@ -109,7 +111,7 @@ class Series:
         self._check(other)
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
-            out[k] = out.get(k, Fraction(0)) + v
+            out[k] = out[k] + v if k in out else v
         return Series(self.ring, out)
 
     __radd__ = __add__
@@ -131,14 +133,37 @@ class Series:
             return Series(self.ring, {k: v * c for k, v in self.coeffs.items()})
         self._check(other)
         ring = self.ring
-        out = {}
+        if not self.coeffs or not other.coeffs:
+            return Series(ring, {})
+        # Each kept key holds an integer numerator over the least common
+        # denominator of the pairs that landed on it, so one Fraction is
+        # normalized per kept key and none per term pair.  A pair is
+        # skipped before its key is built when it lands beyond a cap,
+        # the test of SeriesRing._inside.
+        right = [(t2, sum(t2), q2, h2, c2.numerator, c2.denominator)
+                 for (t2, q2, h2), c2 in other.coeffs.items()]
+        add = operator.add
+        acc = {}
         for (t1, q1, h1), c1 in self.coeffs.items():
-            for (t2, q2, h2), c2 in other.coeffs.items():
-                key = (tuple(a + b for a, b in zip(t1, t2)), q1 + q2, h1 + h2)
-                if not ring._inside(key):
+            n1, d1 = c1.numerator, c1.denominator
+            t_room = ring.t_cap - sum(t1)
+            q_room = ring.q_cap_num - q1
+            h_room = ring.h_cap - h1
+            for t2, deg2, q2, h2, n2, d2 in right:
+                if deg2 > t_room or q2 > q_room or h2 > h_room:
                     continue
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Series(ring, out)
+                key = (tuple(map(add, t1, t2)), q1 + q2, h1 + h2)
+                d = d1 * d2
+                old = acc.get(key)
+                if old is None:
+                    acc[key] = (n1 * n2, d)
+                elif old[1] == d:
+                    acc[key] = (old[0] + n1 * n2, d)
+                else:
+                    n, e = old
+                    g = math.gcd(e, d)
+                    acc[key] = (n * (d // g) + n1 * n2 * (e // g), e // g * d)
+        return Series(ring, {k: Fraction(n, d) for k, (n, d) in acc.items()})
 
     __rmul__ = __mul__
 
@@ -147,8 +172,11 @@ class Series:
         return Series(self.ring, {k: v / c for k, v in self.coeffs.items()})
 
     def __pow__(self, k):
+        if not isinstance(k, int) or k < 0:
+            raise InvalidArgument(
+                f"a series power needs an integer exponent >= 0, not {k!r}")
         out = self.ring.one()
-        for _ in range(int(k)):
+        for _ in range(k):
             out = out * self
         return out
 
@@ -253,8 +281,6 @@ class Series:
 
 def multinomial(n, parts):
     """n! / prod(parts!) for parts summing to at most n."""
-    import math
-
     out = math.factorial(n)
     for p in parts:
         out //= math.factorial(p)

@@ -46,6 +46,15 @@ from .graphs import (
 
 FAMILIES = ("m0", "fm", "mult", "scaled")
 
+_GRAPH_KIND = {
+    "m0": Kind.MODULAR,
+    "fm": Kind.ROOTED_FOREST,
+    "mult": Kind.COLORED_TREE,
+    "scaled": Kind.ROOTED_COLORED_TREE,
+}
+# ambient dimension minus n
+_AMBIENT_SHIFT = {"m0": -3, "fm": 0, "mult": -1, "scaled": 1}
+
 DEFAULT_MAX_N = 7
 
 
@@ -79,21 +88,11 @@ class SpaceKind:
 
     @property
     def graph_kind(self):
-        return {
-            "m0": Kind.MODULAR,
-            "fm": Kind.ROOTED_FOREST,
-            "mult": Kind.COLORED_TREE,
-            "scaled": Kind.ROOTED_COLORED_TREE,
-        }[self.family]
+        return _GRAPH_KIND[self.family]
 
     @property
     def ambient_dimension(self):
-        return {
-            "m0": self.n - 3,
-            "fm": self.n,
-            "mult": self.n - 1,
-            "scaled": self.n + 1,
-        }[self.family]
+        return self.n + _AMBIENT_SHIFT[self.family]
 
     def guard(self):
         if self.n > _max_n():

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from treelevel.cli import main
+from treelevel.cli import MAX_ORDER, MAX_Q_CAP, main
 from treelevel.graphs import MarkedGraph
 from treelevel.selftest import singular_cone_tree
 
@@ -225,7 +225,8 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("criteria", ["abc", "99"])
+    @pytest.mark.parametrize("criteria", ["abc", "99", ""],
+                             ids=["abc", "99", "empty"])
     def test_bad_selftest_criteria_exit_two(self, criteria, capsys):
         assert main(["selftest", "--criteria", criteria]) == 2
         assert_one_line_error(capsys)
@@ -288,6 +289,22 @@ class TestUsage:
         assert main(["cohft", "solve-qde", "--spec", str(path),
                      option, "-1"]) == 2
         assert "must be nonnegative" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("option, bound", [("--order", MAX_ORDER),
+                                               ("--q-cap", MAX_Q_CAP)])
+    def test_oversized_cohft_size_exits_two(self, option, bound, tmp_path,
+                                            capsys):
+        path = tmp_path / "qde.json"
+        path.write_text(json.dumps(
+            {"basis": ["1", "xi"], "q_cap": 2,
+             "mu": [{"inputs": [0, 0], "output": 0},
+                    {"inputs": [0, 1], "output": 1},
+                    {"inputs": [1, 1], "output": 0, "q": "1"}]}))
+        argv = ["cohft", "solve-qde", "--spec", str(path), option]
+        assert main(argv + [str(bound + 1)]) == 2
+        assert f"must be at most {bound}" in assert_one_line_error(capsys)
+        assert main(argv + [str(bound)]) == 0
+        assert "residual zero: True" in capsys.readouterr().out
 
     def test_bad_guard_value_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("MODULI_MAX_N", "abc")

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -121,3 +122,125 @@ class TestNegativeCaps:
     def test_zero_caps_keep_the_constants(self):
         r = SeriesRing(tvars=["t0"], t_cap=0, q_cap=0, h_cap=0)
         assert r.one() * r.one() == r.one()
+
+
+def reference_mul(f, g):
+    """The product as one Fraction operation per term pair: each pair's
+    key is built, kept when it lies inside the caps, and its coefficient
+    added to that key's running Fraction.  Zeros are dropped at the end.
+    Returns the coefficient dict, in insertion order."""
+    ring = f.ring
+    out = {}
+    for (t1, q1, h1), c1 in f.coeffs.items():
+        for (t2, q2, h2), c2 in g.coeffs.items():
+            key = (tuple(a + b for a, b in zip(t1, t2)), q1 + q2, h1 + h2)
+            if not ring._inside(key):
+                continue
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return {k: v for k, v in out.items() if v != 0}
+
+
+KERNEL_RINGS = (
+    SeriesRing(tvars=["x", "y"], q_denominator=3, t_cap=4,
+               q_cap=Fraction(5, 3), h_cap=2),
+    SeriesRing(tvars=["t0", "t1", "t2"], t_cap=3, q_cap=2, h_cap=1),
+    SeriesRing(tvars=[], q_denominator=2, t_cap=0, q_cap=3, h_cap=3),
+)
+
+
+def random_operand(rng, r):
+    """A series with keys inside the caps, 0 to 8 terms, and int or
+    Fraction coefficients of mixed denominators."""
+    coeffs = {}
+    for _ in range(rng.choice([0, 1, 1, 2, 3, 5, 8])):
+        while True:
+            texp = tuple(rng.randint(0, r.t_cap) for _ in r.tvars)
+            if sum(texp) <= r.t_cap:
+                break
+        key = (texp, rng.randint(0, r.q_cap_num), rng.randint(0, r.h_cap))
+        if rng.random() < 0.3:
+            coeffs[key] = rng.randint(-3, 3)
+        else:
+            coeffs[key] = Fraction(rng.randint(-6, 6),
+                                   rng.choice([1, 2, 3, 4, 6, 8, 12]))
+    return Series(r, coeffs)
+
+
+class TestMulKernel:
+    """Series.__mul__ against the per-pair Fraction loop it replaced."""
+
+    def test_matches_reference_and_key_order(self):
+        rng = random.Random(8)
+        seen = set()
+        for r in KERNEL_RINGS:
+            caps = (r.t_cap, r.q_cap_num, r.h_cap)
+            for _ in range(400):
+                f, g = random_operand(rng, r), random_operand(rng, r)
+                if rng.random() < 0.25:
+                    # f with some signs flipped: (a + b)(a - b) cancels ab
+                    g = Series(r, {k: -c if rng.random() < 0.5 else c
+                                   for k, c in f.coeffs.items()})
+                product, expected = (f * g).coeffs, reference_mul(f, g)
+                assert product == expected
+                assert list(product) == list(expected)
+                assert all(type(c) is Fraction for c in product.values())
+                if not f.coeffs or not g.coeffs:
+                    seen.add("empty")
+                landed = set()
+                for (t1, q1, h1) in f.coeffs:
+                    for (t2, q2, h2) in g.coeffs:
+                        key = (tuple(map(operator.add, t1, t2)), q1 + q2,
+                               h1 + h2)
+                        landed.add(key)
+                        degrees = (sum(key[0]), key[1], key[2])
+                        for axis in range(3):
+                            if degrees[axis] - caps[axis] in (0, 1):
+                                seen.add((axis, degrees[axis] - caps[axis]))
+                if any(r._inside(k) and k not in product for k in landed):
+                    seen.add("cancelled")
+        # every case the kernel treats specially was drawn
+        assert seen == {"empty", "cancelled"} | {
+            (axis, past) for axis in range(3) for past in (0, 1)}
+
+    def test_cancellation_and_caps(self):
+        r = SeriesRing(tvars=["x", "y"], q_denominator=2, t_cap=2,
+                       q_cap=Fraction(1, 2), h_cap=0)
+        x, y = r.t("x"), r.t("y")
+        half = r.q_power(Fraction(1, 2))
+        f = x * Fraction(1, 2) + y * Fraction(1, 3) + half
+        g = x * Fraction(1, 2) - y * Fraction(1, 3) + 2 * half
+        product = f * g
+        assert product.coeffs == reference_mul(f, g)
+        assert list(product.coeffs) == list(reference_mul(f, g))
+        # x*y cancels, q^(1/2)*q^(1/2) lies past the q cap
+        assert product == (x * x * Fraction(1, 4) - y * y * Fraction(1, 9)
+                           + x * half * Fraction(3, 2)
+                           + y * half * Fraction(1, 3))
+
+    def test_empty_operand(self):
+        r = KERNEL_RINGS[0]
+        f = r.t("x") + r.scalar(Fraction(1, 2))
+        assert (f * r.zero()).is_zero() and (r.zero() * f).is_zero()
+
+    def test_equal_rings_multiply_and_different_rings_raise(self):
+        a = SeriesRing(tvars=["x"], t_cap=3)
+        b = SeriesRing(tvars=["x"], t_cap=3)
+        assert (a.t("x") * b.t("x")).coeffs == {((2,), 0, 0): 1}
+        with pytest.raises(ValueError, match="different rings"):
+            a.t("x") * SeriesRing(tvars=["x"], t_cap=4).t("x")
+
+
+class TestPower:
+    def test_integer_powers(self):
+        t = SeriesRing(tvars=["t0"], t_cap=3).t(0)
+        assert t ** 0 == t.ring.one()
+        assert t ** True == t
+        assert t ** 3 == t * t * t
+        assert (t ** 4).is_zero()
+
+    @pytest.mark.parametrize("k", [-1, 2.7, Fraction(1, 2)],
+                             ids=["negative", "float", "fraction"])
+    def test_bad_exponent_rejected(self, k):
+        t = SeriesRing(tvars=["t0"], t_cap=3).t(0)
+        with pytest.raises(InvalidArgument, match="exponent"):
+            t ** k
