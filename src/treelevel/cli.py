@@ -163,6 +163,10 @@ def cmd_cone(args):
     return 0
 
 
+# the space each --verify check is about
+_VERIFY_SPACE = {"pullback": "mult", "m04": "m0", "rho": "scaled"}
+
+
 def cmd_divisors(args):
     space = _space(args)
     if args.verify is None:
@@ -173,6 +177,10 @@ def cmd_divisors(args):
             for d in divisors:
                 print(f"{d.name}  dim {d.dimension()}  codim {d.codimension()}")
         return 0
+    if args.space != _VERIFY_SPACE[args.verify]:
+        raise InvalidArgument(
+            f"--verify {args.verify} needs --space "
+            f"{_VERIFY_SPACE[args.verify]}, not {args.space}")
     if args.verify == "pullback":
         report = divrel.verify_multiplihedron_pullback(args.n)
     elif args.verify == "m04":
@@ -198,9 +206,12 @@ def _parse_terms(ring, raw):
 
 # Upper guards on the cohft sizes.  On the README's cohft examples the
 # time does not grow with --order (the spec's arities bound the degrees
-# reached) and grows about quadratically with --q-cap.
+# reached) and grows about quadratically with --q-cap.  solve-qde steps
+# through every q numerator up to q_cap x q_denominator, so the spec's
+# q_denominator needs a bound of its own.
 MAX_ORDER = 30
 MAX_Q_CAP = 100
+MAX_Q_DENOMINATOR = 1000
 
 
 def _nonnegative(value, name):
@@ -226,7 +237,8 @@ def _cohft_inputs(args):
         tvars=spec.get("tvars") or [f"t{i}" for i in
                                     range(len(spec.get("basis_v",
                                                        spec.get("basis", []))))],
-        q_denominator=spec.get("q_denominator", 1),
+        q_denominator=_at_most(int(spec.get("q_denominator", 1)),
+                               "q_denominator", MAX_Q_DENOMINATOR),
         t_cap=_at_most(order, "order", MAX_ORDER),
         q_cap=_nonnegative(Fraction(str(spec.get("q_cap", 0))), "q_cap"),
     )
@@ -276,11 +288,18 @@ def cmd_cohft(args):
     alg, xi = inputs
     sol = cohft.solve_qde(alg, xi=xi, q_cap=args.q_cap)
     ok = sol.residual_is_zero()
+    try:
+        lines = [f"  sigma[{i}][{j}] = {entry}"
+                 for i, row in enumerate(sol.sigma)
+                 for j, entry in enumerate(row)]
+    except ValueError as err:
+        # str() of an int past sys.int_max_str_digits
+        raise InvalidArgument(
+            f"a sigma coefficient cannot be printed: {err}") from None
     print(f"fundamental solution through q^{args.q_cap} "
           f"(gauge: sigma q^(A0/hbar)); residual zero: {ok}")
-    for i, row in enumerate(sol.sigma):
-        for j, entry in enumerate(row):
-            print(f"  sigma[{i}][{j}] = {entry}")
+    for line in lines:
+        print(line)
     return 0 if ok else 1
 
 

@@ -708,7 +708,8 @@ def solve_qde(alg, xi=1, q_cap=3):
             j += 1
             if j > dim * dim + 2:
                 raise DegenerateQDE("adjoint action failed to nilpotate")
-        sigma[k] = sk
+        if any(c for row in sk for entry in row for c in entry.values()):
+            sigma[k] = sk
 
     mats = []
     for i in range(dim):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from treelevel.cli import MAX_ORDER, MAX_Q_CAP, main
+from treelevel.cli import MAX_ORDER, MAX_Q_CAP, MAX_Q_DENOMINATOR, main
 from treelevel.graphs import MarkedGraph
 from treelevel.selftest import singular_cone_tree
 
@@ -138,6 +138,16 @@ class TestDivisorsCommand:
     def test_verify_m04(self, capsys):
         assert main(["divisors", "--space", "m0", "--n", "5",
                      "--verify", "m04", "--split", "13|24"]) == 0
+
+    @pytest.mark.parametrize("space, n, check", [
+        ("fm", "3", "pullback"),
+        ("mult", "5", "m04"),
+        ("m0", "5", "rho"),
+    ], ids=["pullback", "m04", "rho"])
+    def test_verify_on_wrong_space_exits_two(self, space, n, check, capsys):
+        assert main(["divisors", "--space", space, "--n", n,
+                     "--verify", check]) == 2
+        assert "needs --space" in assert_one_line_error(capsys)
 
     def test_plain_listing(self, capsys):
         assert main(["divisors", "--space", "mult", "--n", "2"]) == 0
@@ -305,6 +315,45 @@ class TestUsage:
         assert f"must be at most {bound}" in assert_one_line_error(capsys)
         assert main(argv + [str(bound)]) == 0
         assert "residual zero: True" in capsys.readouterr().out
+
+    def test_q_denominator_bound(self, tmp_path, capsys):
+        path = tmp_path / "qde.json"
+        spec = {"basis": ["1", "xi"], "q_cap": 2,
+                "mu": [{"inputs": [0, 0], "output": 0},
+                       {"inputs": [0, 1], "output": 1},
+                       {"inputs": [1, 1], "output": 0, "q": "1"}]}
+        argv = ["cohft", "solve-qde", "--spec", str(path)]
+        path.write_text(json.dumps(
+            dict(spec, q_denominator=MAX_Q_DENOMINATOR + 1)))
+        assert main(argv) == 2
+        assert (f"must be at most {MAX_Q_DENOMINATOR}"
+                in assert_one_line_error(capsys))
+        path.write_text(json.dumps(
+            dict(spec, q_denominator=MAX_Q_DENOMINATOR)))
+        assert main(argv) == 0
+        assert "residual zero: True" in capsys.readouterr().out
+
+    @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                        reason="no limit on int to str conversion")
+    def test_unprintable_coefficient_exits_two(self, tmp_path, capsys):
+        # P^3 with xi^4 = q^(1/8): the sigma coefficients outgrow a lowered
+        # digit limit within --q-cap 20
+        path = tmp_path / "qde.json"
+        path.write_text(json.dumps(
+            {"basis": [f"xi^{i}" for i in range(4)], "q_denominator": 8,
+             "q_cap": "1",
+             "mu": [{"inputs": [i, j], "output": (i + j) % 4,
+                     "q": f"{(i + j) // 4}/8"}
+                    for i in range(4) for j in range(4)]}))
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            rc = main(["cohft", "solve-qde", "--spec", str(path),
+                       "--q-cap", "20"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert rc == 2
+        assert "cannot be printed" in assert_one_line_error(capsys)
 
     def test_bad_guard_value_exits_two(self, monkeypatch, capsys):
         monkeypatch.setenv("MODULI_MAX_N", "abc")
