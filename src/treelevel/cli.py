@@ -206,9 +206,10 @@ def _parse_terms(ring, raw):
 
 # Upper guards on the cohft sizes.  On the README's cohft examples the
 # time does not grow with --order (the spec's arities bound the degrees
-# reached) and grows about quadratically with --q-cap.  solve-qde steps
-# through every q numerator up to q_cap x q_denominator, so the spec's
-# q_denominator needs a bound of its own.
+# reached) and grows about quadratically with --q-cap.  solve-qde solves
+# for every q numerator up to q_cap x q_denominator that the spec's q
+# exponents reach, all of them when those exponents are spread over the
+# finer grid, so the spec's q_denominator needs a bound of its own.
 MAX_ORDER = 30
 MAX_Q_CAP = 100
 MAX_Q_DENOMINATOR = 1000

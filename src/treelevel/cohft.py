@@ -428,10 +428,6 @@ def compose_trace(tau_w, phi, v, order=None):
 def _partition_profiles(n):
     """Nonincreasing positive block-size profiles of an n-set (n=0: one
     empty profile)."""
-    if n == 0:
-        yield ()
-        return
-
     def rec(remaining, maximum):
         if remaining == 0:
             yield ()
@@ -681,12 +677,17 @@ def solve_qde(alg, xi=1, q_cap=3):
     # sigma_k as matrices of {hbar_power: Fraction}
     sigma = {0: [[{0: Fraction(1)} if i == j else {} for j in range(dim)]
                  for i in range(dim)]}
+    # the q degrees d > 0 of the nonzero parts; sigma[k] is zero unless
+    # some sigma[k - d] is not
+    steps = [d for d, a_d in a_parts.items() if d > 0 and any(map(any, a_d))]
     for k in range(1, qnum_cap + 1):
+        if not any(k - d in sigma for d in steps):
+            continue
         rhs = [[{} for _ in range(dim)] for _ in range(dim)]
-        for d, a_d in a_parts.items():
-            if d == 0 or d > k or (k - d) not in sigma:
+        for d in steps:
+            if k - d not in sigma:
                 continue
-            contrib = _poly_mat_combine(a_d, sigma[k - d], left=True)
+            contrib = _poly_mat_combine(a_parts[d], sigma[k - d], left=True)
             for i in range(dim):
                 for j in range(dim):
                     for h, c in contrib[i][j].items():

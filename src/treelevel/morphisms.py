@@ -4,8 +4,9 @@ Each operation is a total function on valid stable graphs returning a
 new graph; inputs are never mutated.  Collapses move one step up the
 degeneration order (one fewer edge, codimension drops by one), cutting
 splits a graph along an edge, and forgetting a tail removes a leg and
-collapses the unstable vertices this creates, working from the vertices
-farthest from the root.
+stabilizes: the vertex that held it, while unstable, merges into a
+neighbor, which may be left unstable in turn.  Every rebuilt graph comes
+from one vertex-merge builder, :func:`_merge`.
 """
 
 from __future__ import annotations
@@ -33,6 +34,26 @@ from .graphs import (
 )
 
 
+def _merge(g, keep, absorbed, decoration, dropped_edge_indices):
+    """``g`` with the vertices ``absorbed`` merged into ``keep``, which
+    takes ``decoration``, and the edges at ``dropped_edge_indices``
+    removed.  Every other edge and leg keeps its place, with its ends
+    on ``absorbed`` renamed to ``keep``.  The result is not validated.
+    """
+    decor = g.decorations()
+    for v in absorbed:
+        del decor[v]
+    decor[keep] = decoration
+
+    def rename(v):
+        return keep if v in absorbed else v
+
+    edges = [(rename(a), rename(b)) for i, (a, b) in enumerate(g.edges)
+             if i not in dropped_edge_indices]
+    legs = {l: rename(v) for l, v in g.legs.items()}
+    return MarkedGraph(g.kind, decor, edges, legs, g.root)
+
+
 def collapse_edge(g, edge):
     """Collapse a finite edge, merging its endpoints.
 
@@ -45,14 +66,11 @@ def collapse_edge(g, edge):
     if not 0 <= edge < len(g.edges):
         raise NoSuchEdge(f"edge index {edge}")
     a, b = g.edges[edge]
-    decor = g.decorations()
 
     if a == b:
         if g.kind is not Kind.MODULAR:
             raise ForbiddenCollapse("loops only occur on modular graphs")
-        decor[a] = decor[a] + 1
-        edges = [e for i, e in enumerate(g.edges) if i != edge]
-        return MarkedGraph(g.kind, decor, edges, g.legs, g.root)
+        return _merge(g, a, (), g.genus[a] + 1, (edge,))
 
     if g.kind is Kind.MODULAR:
         merged_decor = g.genus[a] + g.genus[b]
@@ -70,20 +88,7 @@ def collapse_edge(g, edge):
         merged_decor = None
 
     keep = g.root if g.root in (a, b) else min(a, b)
-    drop = b if keep == a else a
-    decor.pop(drop)
-    decor[keep] = merged_decor
-
-    def rename(v):
-        return keep if v == drop else v
-
-    edges = []
-    for i, (x, y) in enumerate(g.edges):
-        if i == edge:
-            continue
-        edges.append((rename(x), rename(y)))
-    legs = {l: rename(v) for l, v in g.legs.items()}
-    out = MarkedGraph(g.kind, decor, edges, legs, g.root)
+    out = _merge(g, keep, (b if keep == a else a,), merged_decor, (edge,))
     require_valid(out)
     return out
 
@@ -102,28 +107,15 @@ def collapse_with_relations(g, center):
         raise NotInfinityVertex(f"no vertex {center}")
     if g.color[center] is not Color.INFINITY:
         raise NotInfinityVertex(f"vertex {center} is not infinite-scaling")
-    colored_nbrs = sorted(
-        {w for w in g.neighbors(center) if g.color[w] is Color.COLORED})
+    colored_nbrs = {w for w in g.neighbors(center)
+                    if g.color[w] is Color.COLORED}
     if not colored_nbrs:
         raise NothingToCollapse(f"vertex {center} has no colored neighbor")
 
-    merged = set(colored_nbrs) | {center}
-    keep = center
-    decor = g.decorations()
-    for v in colored_nbrs:
-        decor.pop(v)
-    decor[keep] = Color.COLORED
-
-    def rename(v):
-        return keep if v in merged else v
-
-    edges = []
-    for x, y in g.edges:
-        if {x, y} <= merged:
-            continue
-        edges.append((rename(x), rename(y)))
-    legs = {l: rename(v) for l, v in g.legs.items()}
-    out = MarkedGraph(g.kind, decor, edges, legs, g.root)
+    merged = colored_nbrs | {center}
+    inside = {i for i, (x, y) in enumerate(g.edges)
+              if x in merged and y in merged}
+    out = _merge(g, center, colored_nbrs, Color.COLORED, inside)
     try:
         require_valid(out)
     except InvalidGraph as err:
@@ -168,75 +160,16 @@ def _total_genus(g):
     return sum(g.genus.values()) + b1
 
 
-def _depths(g, anchor):
-    if anchor is None:
-        return {v: 0 for v in g.vertex_ids}
-    depth = {anchor: 0}
-    frontier = [anchor]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v):
-                if w not in depth:
-                    depth[w] = depth[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    for v in g.vertex_ids:
-        depth.setdefault(v, 0)
-    return depth
-
-
-def _unstable_vertices(g):
-    valences = g.valences()
-    return [v for v in g.vertex_ids if valences[v] < min_valence(g, v)]
-
-
-def _remove_valence_one(g, v):
-    # colored vertex left with a single edge: drop the vertex and the edge
-    edges_at = [i for i, (x, y) in enumerate(g.edges) if v in (x, y)]
-    if len(edges_at) != 1 or g.legs_at(v):
-        raise InvalidGraph(f"vertex {v} cannot be removed cleanly")
-    decor = g.decorations()
-    decor.pop(v)
-    edges = [e for i, e in enumerate(g.edges) if i != edges_at[0]]
-    return MarkedGraph(g.kind, decor, edges, g.legs, g.root)
-
-
-def _fuse_valence_two(g, v):
-    # zero/infinite-scaling or genus-zero vertex with two attachments:
-    # fuse its edges, or transfer its leg to the neighbor
-    edges_at = [i for i, (x, y) in enumerate(g.edges) if v in (x, y)]
-    legs_at = g.legs_at(v)
-    if any(x == y for i, (x, y) in enumerate(g.edges) if i in edges_at):
-        raise InvalidGraph(f"cannot fuse through a loop at {v}")
-    decor = g.decorations()
-    decor.pop(v)
-    edges = [e for i, e in enumerate(g.edges) if i not in edges_at]
-    legs = dict(g.legs)
-    nbrs = []
-    for i in edges_at:
-        x, y = g.edges[i]
-        nbrs.append(y if x == v else x)
-    if len(nbrs) == 2:
-        edges.append(tuple(sorted(nbrs)))
-    elif len(nbrs) == 1 and len(legs_at) == 1:
-        legs[legs_at[0]] = nbrs[0]
-    else:
-        # no edge and two legs or none: a whole component fell below the
-        # minimum
-        raise MinimumMarkings(
-            f"component at vertex {v} cannot absorb its markings")
-    return MarkedGraph(g.kind, decor, edges, legs, g.root)
-
-
 def forget_tail(g, leg):
-    """Forget a leg, then collapse unstable vertices until stable.
+    """Forget a leg, then merge unstable vertices until stable.
 
     Surviving leg labels are preserved; use :func:`compact_legs` to
-    renumber afterwards.  The cascade runs from the vertices farthest
-    away from the root leg / root vertex, matching the two-stage
-    behaviour of colored trees: deleting a colored vertex of valence one
-    may leave its neighbor unstable in turn.
+    renumber afterwards.  On a stable input only the vertex that held
+    the leg can lose stability.  While it is unstable it merges into a
+    neighbor, which keeps its decoration: a colored vertex left with one
+    edge disappears with it, any other vertex passes its one leg or
+    fuses its two edges.  The neighbor is checked next, since losing a
+    colored vertex of valence one may leave it unstable in turn.
     """
     if leg not in g.legs:
         raise NoSuchLeg(f"no leg {leg}")
@@ -252,19 +185,26 @@ def forget_tail(g, leg):
         raise MinimumMarkings("a scaled line needs at least one marking")
 
     legs = dict(g.legs)
-    legs.pop(leg)
+    v = legs.pop(leg)
     cur = MarkedGraph(g.kind, g.decorations(), g.edges, legs, g.root)
-
-    while True:
-        unstable = _unstable_vertices(cur)
-        if not unstable:
-            break
-        depth = _depths(cur, cur.anchor)
-        v = max(unstable, key=lambda w: (depth[w], w))
+    while cur.valence(v) < min_valence(cur, v):
+        edges_at = [i for i, e in enumerate(cur.edges) if v in e]
         if cur.kind in COLORED_KINDS and cur.color[v] is Color.COLORED:
-            cur = _remove_valence_one(cur, v)
-        else:
-            cur = _fuse_valence_two(cur, v)
+            if len(edges_at) != 1 or cur.legs_at(v):
+                raise InvalidGraph(f"vertex {v} cannot be removed cleanly")
+        elif any(cur.edges[i][0] == cur.edges[i][1] for i in edges_at):
+            raise InvalidGraph(f"cannot fuse through a loop at {v}")
+        elif not (len(edges_at) == 2
+                  or len(edges_at) == 1 and len(cur.legs_at(v)) == 1):
+            # no edge and two legs or none: a whole component fell below
+            # the minimum
+            raise MinimumMarkings(
+                f"component at vertex {v} cannot absorb its markings")
+        a, b = cur.edges[edges_at[0]]
+        w = b if a == v else a
+        cur = _merge(cur, w, (v,), cur.genus.get(w, cur.color.get(w)),
+                     (edges_at[0],))
+        v = w
 
     if not is_stable(cur):
         raise InvalidGraph("stabilization failed to terminate on a stable type")

@@ -185,14 +185,17 @@ def criterion_6():
     return True, "; ".join(details)
 
 
+# every space of every kind with n <= 5, for criteria 7 and 8
+_SMALL_SPACES = (*(M0(k) for k in (3, 4, 5)), *(FM(k) for k in range(6)),
+                 *(MULT(k) for k in range(1, 6)), *(SCALED(k) for k in range(6)))
+
+
 def criterion_7():
     """dim + codim equals the ambient dimension on every stratum
     (n <= 5, all kinds); divisor count 2^n - n - 1 + Bell(n) - 1
     (n <= 6)."""
-    spaces = ([M0(k) for k in (3, 4, 5)] + [FM(k) for k in range(6)]
-              + [MULT(k) for k in range(1, 6)] + [SCALED(k) for k in range(6)])
     checked = 0
-    for sp in spaces:
+    for sp in _SMALL_SPACES:
         for g in enumerate_strata(sp):
             if (stratum_dimension(g, sp) + stratum_codimension(g, sp)
                     != sp.ambient_dimension):
@@ -208,10 +211,8 @@ def criterion_7():
 def criterion_8():
     """Structural enumeration equals brute force for every kind, n <= 5."""
     start = time.monotonic()
-    spaces = ([M0(k) for k in (3, 4, 5)] + [FM(k) for k in range(6)]
-              + [MULT(k) for k in range(1, 6)] + [SCALED(k) for k in range(6)])
     total = 0
-    for sp in spaces:
+    for sp in _SMALL_SPACES:
         main = {canonical_key(g) for g in enumerate_strata(sp)}
         oracle = set(brute_force_strata(sp))
         if main != oracle:

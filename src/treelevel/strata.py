@@ -453,48 +453,23 @@ class BoundaryDivisor:
 
 
 def _subset_divisor(space, I):
-    n = space.n
     I = frozenset(I)
-    rest = frozenset(range(1, n + 1)) - I
-    if space.family == "m0":
-        g = MarkedGraph(Kind.MODULAR, {0: 0, 1: 0}, [(0, 1)],
-                        {**{l: 0 for l in rest}, **{l: 1 for l in I}})
-    elif space.family == "fm":
-        g = MarkedGraph(Kind.ROOTED_FOREST, [0, 1], [(0, 1)],
-                        {**{l: 0 for l in rest}, **{l: 1 for l in I}}, root=0)
-    elif space.family == "mult":
-        g = MarkedGraph(Kind.COLORED_TREE,
-                        {0: Color.COLORED, 1: Color.ZERO}, [(0, 1)],
-                        {0: 0, **{l: 0 for l in rest}, **{l: 1 for l in I}})
-    else:
-        g = MarkedGraph(Kind.ROOTED_COLORED_TREE,
-                        {0: Color.COLORED, 1: Color.ZERO}, [(0, 1)],
-                        {**{l: 0 for l in rest}, **{l: 1 for l in I}}, root=0)
+    rest = frozenset(range(1, space.n + 1)) - I
+    top = {"m0": "b", "fm": "r"}.get(space.family, "c")
+    g = _materialize(space, (top, rest, (("b", I, ()),)))
     return BoundaryDivisor(space, ("subset", I), g)
 
 
 def _partition_divisor(space, blocks):
     blocks = tuple(sorted((frozenset(b) for b in blocks), key=sorted))
-    verts = {0: Color.INFINITY}
-    edges = []
-    legs = {}
-    for i, block in enumerate(blocks, start=1):
-        verts[i] = Color.COLORED
-        edges.append((0, i))
-        for l in block:
-            legs[l] = i
-    if space.family == "mult":
-        legs[0] = 0
-        g = MarkedGraph(Kind.COLORED_TREE, verts, edges, legs)
-    else:
-        g = MarkedGraph(Kind.ROOTED_COLORED_TREE, verts, edges, legs, root=0)
+    g = _materialize(space, ("i", frozenset(),
+                             tuple(("c", block, ()) for block in blocks)))
     return BoundaryDivisor(space, ("partition", frozenset(blocks)), g)
 
 
 def _rho_divisor(space, label="rho"):
     n = space.n
-    g = MarkedGraph(Kind.ROOTED_FOREST, [0], [],
-                    {l: 0 for l in range(1, n + 1)}, root=0)
+    g = _materialize(FM(n), ("r", frozenset(range(1, n + 1)), ()))
     return BoundaryDivisor(space, ("rho", label), g)
 
 

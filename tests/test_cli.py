@@ -124,6 +124,24 @@ class TestConeCommand:
     def test_missing_file(self, capsys):
         assert main(["cone", "--graph", "/nonexistent.json"]) == 2
 
+    def test_too_many_bases_exits_two_at_once(self, tmp_path, capsys):
+        # an infinite vertex holding leg 0 over nine infinite vertices with
+        # two colored leaves each: 27 edges, C(17, 7) = 19448 bases per test
+        colors = {0: "infinity"}
+        edges, legs = [], {0: 0}
+        for mid in range(1, 28, 3):
+            colors.update({mid: "infinity", mid + 1: "colored",
+                           mid + 2: "colored"})
+            edges += [(0, mid), (mid, mid + 1), (mid, mid + 2)]
+            legs.update({len(legs): mid + 1, len(legs) + 1: mid + 2})
+        path = tmp_path / "wide.json"
+        path.write_text(MarkedGraph("colored_tree", colors, edges,
+                                    legs).to_json())
+        start = time.perf_counter()
+        assert main(["cone", "--graph", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert "19448 bases" in assert_one_line_error(capsys)
+
 
 class TestDivisorsCommand:
     def test_verify_pullback_passes(self, capsys):
@@ -332,6 +350,24 @@ class TestUsage:
             dict(spec, q_denominator=MAX_Q_DENOMINATOR)))
         assert main(argv) == 0
         assert "residual zero: True" in capsys.readouterr().out
+
+    def test_q_denominator_leaves_integral_exponents_alone(self, tmp_path,
+                                                           capsys):
+        # every q exponent is integral, so sigma is the same over the
+        # finer grid, whose other numerators are never reached
+        path = tmp_path / "qde.json"
+        spec = {"basis": ["1", "xi"], "q_cap": 2,
+                "mu": [{"inputs": [0, 0], "output": 0},
+                       {"inputs": [0, 1], "output": 1},
+                       {"inputs": [1, 1], "output": 0, "q": "1"}]}
+        argv = ["cohft", "solve-qde", "--spec", str(path), "--q-cap", "100"]
+        outs = []
+        for denominator in (1, MAX_Q_DENOMINATOR):
+            path.write_text(json.dumps(dict(spec, q_denominator=denominator)))
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "sigma[1][1] = 1 + q*hbar^-2 + 1/4*q^2*hbar^-4" in outs[0]
 
     @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                         reason="no limit on int to str conversion")

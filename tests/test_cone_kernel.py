@@ -11,9 +11,12 @@ non-pointed cones and Fraction targets.
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelevel import linalg
+from treelevel.errors import TooLarge
 from treelevel.kirwan import _in_open_halfspace
 from treelevel.linalg import cone_contains, det, extremal_rays, frac_rank, primitive
 
@@ -192,3 +195,13 @@ def test_fraction_targets_scale_away():
     assert not cone_contains((Fraction(-1, 3),), [(2,)])
     assert cone_contains((Fraction(1, 2), Fraction(1, 3)), [(1, 0), (0, 1)])
     assert cone_contains((1, 1), [(Fraction(1, 2), 0), (0, Fraction(2, 3))])
+
+
+def test_basis_guard_counts_bases_of_the_span(monkeypatch):
+    # five nonzero generators spanning a plane, and a zero one: C(5, 2) = 10
+    gens = [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 1, 0), (0, 0, 0), (1, 3, 0)]
+    monkeypatch.setattr(linalg, "MAX_CONE_BASES", 10)
+    assert cone_contains((1, 2, 0), gens)
+    monkeypatch.setattr(linalg, "MAX_CONE_BASES", 9)
+    with pytest.raises(TooLarge, match="10 bases"):
+        cone_contains((1, 2, 0), gens)

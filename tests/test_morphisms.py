@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 
 import pytest
 
@@ -12,9 +14,14 @@ from treelevel.errors import (
     NoSuchLeg,
     NothingToCollapse,
     NotInfinityVertex,
+    TreelevelError,
 )
 from treelevel.graphs import (
+    COLORED_KINDS,
+    ROOTED_KINDS,
     Color,
+    Kind,
+    MarkedGraph,
     canonical_key,
     colored_tree,
     is_isomorphic,
@@ -271,3 +278,133 @@ class TestMorphismInvariants:
                 except MinimumMarkings:
                     continue
                 assert canonical_key(a) == canonical_key(b)
+
+
+# -- pinned outputs ------------------------------------------------------------
+#
+# SHA-256 digests of every morphism outcome over the strata below and a
+# seeded corpus of random stable graphs, computed before the morphisms
+# were rebuilt on one vertex-merge builder.  A collapse is pinned by its
+# repr, a forget by its signature (edges sorted, so their order is free)
+# and canonical key; an error by its type and message.
+
+PINNED_SPACES = {
+    "m0": [M0(n) for n in range(3, 7)],
+    "fm": [FM(n) for n in range(5)],
+    "mult": [MULT(n) for n in range(1, 6)],
+    "scaled": [SCALED(n) for n in range(5)],
+}
+COLLAPSE_SHA256 = {
+    "m0": "c17e5afca45560090200c6371ef0402f7005ca31b60e9ddc94570ceed820d26b",
+    "fm": "ee2e5cf1852708cc4a61952936672e7e524371c8b152fc56bb4f86796093ba95",
+    "mult": "b14b672534c49786a5e5d8af8e2d52e54b09edbfa245eb350ff548c848ce52a9",
+    "scaled":
+        "2d5f497b53a747674b57bf291d109f0661d917163e204df1525c5f76f9493a10",
+}
+FORGET_SHA256 = {
+    "m0": "5012daa1a18ba973783cc19ae86be01237db323ab4776072ca62551323e53588",
+    "fm": "cd90fbf9857dca21c4ffcc7f9589dba317cbd99a4e485b2f6d8691a0b370f7aa",
+    "mult": "b1b5699cc38ef60a912af72971f8b7a5919a6e3eeb96dc8fc67ea998e6d59ec5",
+    "scaled":
+        "53b7b9d659c3450929b3ada29bca32ff3275da8e3bb71e573070c150e2fafdff",
+}
+RANDOM_SEED = 20261018
+RANDOM_PER_KIND = 300
+RANDOM_FORGET_SHA256 = (
+    "2e933d573b39ad5d18b2d05543c0b47c954d48de2b0a4eaf687f380f9a318a67")
+
+
+def _outcome(fn, describe):
+    try:
+        return describe(fn())
+    except TreelevelError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def _forgotten(out):
+    return repr(out._signature()) + repr(canonical_key(out))
+
+
+def _collapse_lines(g):
+    for i in range(len(g.edges)):
+        yield _outcome(lambda: collapse_edge(g, i), repr)
+    for v in g.vertex_ids:
+        yield _outcome(lambda: collapse_with_relations(g, v), repr)
+
+
+def _forget_lines(g):
+    for leg in sorted(g.legs):
+        yield _outcome(lambda: forget_tail(g, leg), _forgotten)
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# the colors a child may take below a parent of each color
+_CHILD_COLORS = {Color.INFINITY: (Color.INFINITY, Color.COLORED),
+                 Color.COLORED: (Color.ZERO,), Color.ZERO: (Color.ZERO,)}
+
+
+def _random_graph(rng, kind):
+    """A random graph of ``kind`` on up to eight vertices: modular ones
+    with genus, loops and parallel edges, the others forests whose
+    colors mostly follow the colored-tree rules."""
+    nv = rng.randint(1, 8)
+    if kind is Kind.MODULAR:
+        decor = {v: rng.choice((0, 0, 0, 1, 2)) for v in range(nv)}
+        edges = [(rng.randrange(nv), rng.randrange(nv))
+                 for _ in range(rng.randint(0, nv + 1))]
+    else:
+        decor = {0: rng.choice((Color.COLORED, Color.INFINITY))}
+        edges = []
+        for v in range(1, nv):
+            if rng.random() < 0.9:
+                parent = rng.randrange(v)
+                edges.append((parent, v))
+                decor[v] = rng.choice(_CHILD_COLORS[decor[parent]])
+            else:
+                # the top of a new component
+                decor[v] = rng.choice((Color.ZERO, Color.INFINITY))
+        if kind not in COLORED_KINDS:
+            decor = dict.fromkeys(decor)
+    legs = {l: rng.randrange(nv) for l in range(1, rng.randint(0, 3 * nv) + 1)}
+    if kind is Kind.COLORED_TREE:
+        legs[0] = 0
+    return MarkedGraph(kind, decor, edges, legs,
+                       0 if kind in ROOTED_KINDS else None)
+
+
+def random_stable_graphs(seed, per_kind):
+    """``per_kind`` valid stable graphs of each kind, drawn by rejection."""
+    rng = random.Random(seed)
+    out = []
+    for kind in Kind:
+        found = 0
+        while found < per_kind:
+            g = _random_graph(rng, kind)
+            if not validate(g) and is_stable(g):
+                out.append(g)
+                found += 1
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(PINNED_SPACES))
+def test_morphism_outcomes_are_pinned(family):
+    strata = [g for space in PINNED_SPACES[family]
+              for g in enumerate_strata(space)]
+    assert _digest([line for g in strata for line in _collapse_lines(g)]) \
+        == COLLAPSE_SHA256[family]
+    assert _digest([line for g in strata for line in _forget_lines(g)]) \
+        == FORGET_SHA256[family]
+
+
+def test_forget_on_random_stable_graphs_is_pinned():
+    corpus = random_stable_graphs(RANDOM_SEED, RANDOM_PER_KIND)
+    # the corpus reaches disconnected graphs of every kind, loops and
+    # parallel edges
+    assert {g.kind for g in corpus if len(g.components()) > 1} == set(Kind)
+    assert any(a == b for g in corpus for a, b in g.edges)
+    assert any(len(set(g.edges)) < len(g.edges) for g in corpus)
+    assert _digest([line for g in corpus for line in _forget_lines(g)]) \
+        == RANDOM_FORGET_SHA256
