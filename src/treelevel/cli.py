@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import cohft, divrel, kirwan, selftest
 from .cones import cone_summary
 from .errors import InvalidArgument, TreelevelError
-from .graphs import MarkedGraph
+from .graphs import COLORED_KINDS, Color, Kind, MarkedGraph
 from .series import SeriesRing
 from .strata import SpaceKind, boundary_divisors, iter_strata
 
@@ -31,6 +31,16 @@ _quote = json.encoder.encode_basestring_ascii
 # containers below encode their leaves without a recursive call.
 _LEAF = {str: _quote, int: int.__repr__,
          bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
+
+
+def _container(opening, items, closing, pad):
+    """A JSON list or object laid out as ``json.dumps(indent=2)`` lays it
+    out on a line indented by ``pad``, from its items already encoded
+    for the indentation ``pad`` plus two spaces."""
+    if not items:
+        return opening + closing
+    inner = "\n" + pad + "  "
+    return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
 
 
 def _indented(obj, pad=""):
@@ -50,24 +60,17 @@ def _indented(obj, pad=""):
         return int.__repr__(obj)
     inner = pad + "  "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
         # a key that is not a str fails in sorted() or in _quote
-        items = [_quote(k) + ": " + (_LEAF[type(v)](v) if type(v) in _LEAF
-                                     else _indented(v, inner))
-                 for k, v in sorted(obj.items())]
-        opening, closing = "{", "}"
-    elif isinstance(obj, list):
-        if not obj:
-            return "[]"
-        items = [_LEAF[type(v)](v) if type(v) in _LEAF else _indented(v, inner)
-                 for v in obj]
-        opening, closing = "[", "]"
-    else:
-        raise TypeError(
-            f"Object of type {type(obj).__name__} is not JSON serializable")
-    return (opening + "\n" + inner + (",\n" + inner).join(items)
-            + "\n" + pad + closing)
+        return _container("{", [
+            _quote(k) + ": " + (_LEAF[type(v)](v) if type(v) in _LEAF
+                                else _indented(v, inner))
+            for k, v in sorted(obj.items())], "}", pad)
+    if isinstance(obj, list):
+        return _container("[", [
+            _LEAF[type(v)](v) if type(v) in _LEAF else _indented(v, inner)
+            for v in obj], "]", pad)
+    raise TypeError(
+        f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(obj, stream=None):
@@ -75,8 +78,9 @@ def _write_json(obj, stream=None):
     would, item by item for the list under ``stream``.
 
     ``stream`` names a key that sorts after every key of ``obj`` and
-    maps to an iterable; its items are written as they come, so neither
-    the list nor the whole document is held.
+    maps to an iterable of items already encoded, each as
+    ``_indented(item, "    ")`` gives it; they are written as they come,
+    so neither the list nor the whole document is held.
     """
     write = sys.stdout.write
     if stream is None:
@@ -92,9 +96,49 @@ def _write_json(obj, stream=None):
     write("  " + _quote(stream) + ": ")
     sep = "[\n    "
     for item in items:
-        write(sep + _indented(item, "    "))
+        write(sep + item)
         sep = ",\n    "
     write("[]\n}\n" if sep == "[\n    " else "\n  ]\n}\n")
+
+
+# The indentation of a "strata" item, of its fields and of the items of
+# its lists and objects.
+_ITEM_PAD = "    "
+_FIELD_PAD = _ITEM_PAD + "  "
+_VERTEX_PAD = _FIELD_PAD + "  "
+_COLOR_FIELD = {c: '"color": ' + _quote(c.value) for c in Color}
+
+
+def _stratum_record(g, dimension, codimension):
+    """The "strata" item of ``g`` as ``_write_json`` takes it: the text of
+    ``_indented({**g.to_json_obj(), "dimension": dimension,
+    "codimension": codimension}, "    ")``, written from the graph's
+    fields with no record dict.  The fields are in normal form, so only
+    the leg labels need sorting, as the strings they become."""
+    if g.kind is Kind.MODULAR:
+        verts = [_container("{", [f'"genus": {g.genus[v]}', f'"id": {v}'],
+                            "}", _VERTEX_PAD) for v in g.vertex_ids]
+    elif g.kind in COLORED_KINDS:
+        verts = [_container("{", [_COLOR_FIELD[g.color[v]], f'"id": {v}'],
+                            "}", _VERTEX_PAD) for v in g.vertex_ids]
+    else:
+        verts = [_container("{", [f'"id": {v}'], "}", _VERTEX_PAD)
+                 for v in g.vertex_ids]
+    edges = [_container("[", [str(a), str(b)], "]", _VERTEX_PAD)
+             for a, b in g.edges]
+    legs = sorted((str(l), v) for l, v in g.legs.items())
+    fields = [
+        f'"codimension": {codimension}',
+        f'"dimension": {dimension}',
+        '"edges": ' + _container("[", edges, "]", _FIELD_PAD),
+        '"kind": ' + _quote(g.kind.value),
+        '"legs": ' + _container(
+            "{", [f'"{l}": {v}' for l, v in legs], "}", _FIELD_PAD),
+    ]
+    if g.root is not None:
+        fields.append(f'"root": {g.root}')
+    fields.append('"vertices": ' + _container("[", verts, "]", _FIELD_PAD))
+    return _container("{", fields, "}", _ITEM_PAD)
 
 
 def _space(args):
@@ -117,27 +161,23 @@ def cmd_strata(args):
     # the DOT file is written in the same pass as the listing
     dot = open(args.dot, "w") if args.dot else None
     try:
-        def records():
+        def lines(line):
             for g, dimension, codimension in strata:
                 if dot is not None:
                     dot.write(g.to_dot())
-                rec = g.to_json_obj()
-                rec["dimension"] = dimension
-                rec["codimension"] = codimension
-                yield rec
+                yield line(g, dimension, codimension)
 
         if args.json:
             _write_json({"space": str(space),
                          "ambient_dimension": space.ambient_dimension,
-                         "divisors": divisors, "strata": records()},
+                         "divisors": divisors,
+                         "strata": lines(_stratum_record)},
                         stream="strata")
         else:
             print(f"{space}: ambient dimension {space.ambient_dimension}, "
                   f"{len(strata)} strata, {len(divisors)} boundary divisors")
-            for rec in records():
-                print(f"  dim {rec['dimension']} codim {rec['codimension']}: "
-                      f"{len(rec['vertices'])} vertices, "
-                      f"{len(rec['edges'])} edges")
+            for text in lines(_stratum_line):
+                print(text)
             for d in divisors:
                 print(f"  divisor {d['name']} (dim {d['dimension']})")
     finally:
@@ -146,6 +186,11 @@ def cmd_strata(args):
     if dot is not None:
         print(f"wrote {len(strata)} graphs to {args.dot}", file=sys.stderr)
     return 0
+
+
+def _stratum_line(g, dimension, codimension):
+    return (f"  dim {dimension} codim {codimension}: "
+            f"{len(g.vertex_ids)} vertices, {len(g.edges)} edges")
 
 
 def cmd_cone(args):

@@ -49,6 +49,21 @@ ROOTED_KINDS = (Kind.ROOTED_FOREST, Kind.ROOTED_COLORED_TREE)
 MODULAR_CANONICAL_GUARD = 10
 
 
+def _set_fields(g, kind, vertex_ids, genus, color, edges, legs, root):
+    """Store normalized fields on a new graph, the dicts behind read-only
+    views."""
+    init = object.__setattr__
+    init(g, "kind", kind)
+    init(g, "vertex_ids", vertex_ids)
+    init(g, "genus", MappingProxyType(genus))
+    init(g, "color", MappingProxyType(color))
+    init(g, "edges", edges)
+    init(g, "legs", MappingProxyType(legs))
+    init(g, "root", root)
+    # set by require_valid once validate() found no problem
+    init(g, "_valid", False)
+
+
 class MarkedGraph:
     """A graph with decorated vertices, finite edges and labelled legs.
 
@@ -85,20 +100,32 @@ class MarkedGraph:
                 color[v] = Color(decor)
         if len(set(ids)) != len(ids):
             raise InvalidGraph("duplicate vertex ids")
-        init = object.__setattr__
-        init(self, "kind", kind)
-        init(self, "vertex_ids", tuple(sorted(ids)))
-        init(self, "genus", MappingProxyType(genus))
-        init(self, "color", MappingProxyType(color))
-        init(self, "edges", tuple(
-            (int(a), int(b)) if int(a) <= int(b) else (int(b), int(a))
-            for a, b in edges
-        ))
-        init(self, "legs", MappingProxyType(
-            {int(l): int(v) for l, v in (legs or {}).items()}))
-        init(self, "root", None if root is None else int(root))
-        # set by require_valid once validate() found no problem
-        init(self, "_valid", False)
+        _set_fields(
+            self, kind, tuple(sorted(ids)), genus, color,
+            tuple((int(a), int(b)) if int(a) <= int(b) else (int(b), int(a))
+                  for a, b in edges),
+            {int(l): int(v) for l, v in (legs or {}).items()},
+            None if root is None else int(root))
+
+    @classmethod
+    def _trusted(cls, kind, decorations, edges, legs, root):
+        """A graph from fields already in the form the constructor gives
+        them, stored without a second pass.
+
+        ``kind`` is a :class:`Kind`; ``decorations`` maps increasing int
+        vertex ids to what the kind keeps (genus, :class:`Color` or
+        None); ``edges`` holds int pairs ``(a, b)`` with ``a <= b``;
+        ``legs`` maps int labels to vertex ids; ``root`` is an id or
+        None.  The dicts pass to the graph and the caller must not keep
+        them.  Nothing is checked here: :func:`require_valid` still runs
+        the full :func:`validate` once.
+        """
+        g = object.__new__(cls)
+        genus = decorations if kind is Kind.MODULAR else {}
+        color = decorations if kind in COLORED_KINDS else {}
+        _set_fields(g, kind, tuple(decorations), genus, color, tuple(edges),
+                    legs, root)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError(f"MarkedGraph is immutable: cannot set {name!r}")
@@ -691,21 +718,16 @@ def canonical_key(g):
     """
     require_valid(g)
     loops_at = {}
-    simple = True
-    seen_pairs = set()
     for a, b in g.edges:
         if a == b:
             loops_at[a] = loops_at.get(a, 0) + 1
-        else:
-            if (a, b) in seen_pairs:
-                simple = False
-            seen_pairs.add((a, b))
     adj = g.adjacency()
     comps = g.components(adj)
     if g.kind is Kind.MODULAR:
-        acyclic = simple and (
-            len(g.edges) - sum(loops_at.values())
-            == len(g.vertex_ids) - len(comps))
+        # a forest has exactly #vertices - #components non-loop edges; a
+        # cycle, parallel edges included, needs more
+        acyclic = (len(g.edges) - sum(loops_at.values())
+                   == len(g.vertex_ids) - len(comps))
         if not acyclic:
             return _key_bytes(g.kind, _modular_bruteforce_key(g))
     legs_at = {}

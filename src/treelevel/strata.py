@@ -16,7 +16,9 @@ its independent check lives in :mod:`treelevel.bruteforce`.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -178,33 +180,67 @@ _TAG_VERTEX = {
     Kind.ROOTED_FOREST: {"r": None, "b": None},
     **dict.fromkeys(COLORED_KINDS, _TAG_COLOR),
 }
+# graphs.min_valence of a vertex that is not the root, by its node tag;
+# "r" tags only the root of a parametrized curve, which has none.
+_MIN_VALENCE = {"b": 3, "c": 2, "i": 3, "r": 0}
 
 
-def _place(node, decor, verts, edges, legs):
+def _place(node, decor, verts, edges, legs, up):
     """Number the vertices of ``node`` in preorder; each edge is added
-    once its child's subtree is placed."""
+    once its child's subtree is placed.
+
+    Returns the sum over the placed vertices of their valence less their
+    ``_MIN_VALENCE``; ``up`` is the valence ``node``'s vertex takes from
+    above it (its edge to the parent, or leg 0).
+    """
     tag, own, children = node
     vid = len(verts)
     verts[vid] = decor[tag]
     for l in own:
         legs[l] = vid
+    margin = len(own) + len(children) + up - _MIN_VALENCE[tag]
     for child in children:
-        edges.append((vid, _place(child, decor, verts, edges, legs)))
-    return vid
+        cid = len(verts)
+        margin += _place(child, decor, verts, edges, legs, 1)
+        edges.append((vid, cid))
+    return margin
 
 
-def _materialize(space, node):
+def _placed(space, node):
+    """The graph of ``node`` with its dimension and codimension, all from
+    one placement of the node.
+
+    The graph is built by :meth:`MarkedGraph._trusted`: the placement
+    gives its fields in normal form, so nothing is normalized again, and
+    it is validated at its first :func:`~treelevel.graphs.require_valid`
+    like any other.  The two numbers are read off the placement apart
+    from each other: the dimension sums the per-vertex valence terms of
+    :func:`stratum_dimension`, the codimension counts edges and, on the
+    colored kinds, adds 1 - #colored (the one component holds the
+    anchor).
+    """
     kind = space.graph_kind
     verts = {}
     edges = []
     legs = {}
-    top = _place(node, _TAG_VERTEX[kind], verts, edges, legs)
+    # leg 0 sits on the top vertex of a colored tree
+    colored_tree = kind is Kind.COLORED_TREE
+    dimension = _place(node, _TAG_VERTEX[kind], verts, edges, legs,
+                       int(colored_tree))
     root = None
-    if kind is Kind.COLORED_TREE:
-        legs[0] = top
+    if colored_tree:
+        legs[0] = 0
     elif kind in ROOTED_KINDS:
-        root = top
-    return MarkedGraph(kind, verts, edges, legs, root)
+        root = 0
+        # the root has no least valence, and a colored root counts the
+        # scaling value as well
+        tag = node[0]
+        dimension += _MIN_VALENCE[tag] + (tag == "c")
+    codimension = len(edges)
+    if kind in COLORED_KINDS:
+        codimension += 1 - list(verts.values()).count(Color.COLORED)
+    return (MarkedGraph._trusted(kind, verts, edges, legs, root),
+            dimension, codimension)
 
 
 def _raw_strata(space):
@@ -227,8 +263,8 @@ def _raw_strata(space):
 
 # -- canonical keys of nodes --------------------------------------------------
 #
-# The key of a node is canonical_key of the graph _materialize builds
-# from it, read off the node: the same codes, rooted where canonical_key
+# The key of a node is canonical_key of the graph _placed builds from
+# it, read off the node: the same codes, rooted where canonical_key
 # roots them (the top vertex, which carries leg 0 or is the root, except
 # for m0, whose key is rooted at the vertex holding leg 1).
 
@@ -280,7 +316,7 @@ def _rerooted_code(node, decor, memo, leg):
 
 
 def _node_key(space, node, memo):
-    """``canonical_key(_materialize(space, node))``, without the graph.
+    """``canonical_key(_placed(space, node)[0])``, without the graph.
 
     ``memo`` holds subtree codes by node identity for as long as the
     caller keeps the nodes alive.
@@ -308,7 +344,7 @@ def enumerate_strata(space):
     deterministic.  The graphs are validated at their first
     :func:`~treelevel.graphs.require_valid`.
     """
-    return [_materialize(space, node) for node in iter_strata(space).nodes]
+    return [_placed(space, node)[0] for node in iter_strata(space).nodes]
 
 
 def _keyed_nodes(space):
@@ -327,18 +363,26 @@ def iter_strata(space):
     Returns a sized iterable.  Its ``len`` is the number of strata,
     known from the sorted recursion nodes before any graph is built.
     Iterating it yields ``(graph, dimension, codimension)`` for one
-    stratum at a time, the two numbers from :func:`stratum_dimension`
-    and :func:`stratum_codimension`, each computed on its own; the
-    graph passes one full :func:`~treelevel.graphs.validate` and one
-    :func:`is_stable` on the way.  Only the nodes are held, never the
-    list of graphs.
+    stratum at a time, all three from one placement of its node (see
+    :func:`_placed`): the graph is built without normalizing its fields
+    again, and the dimension and codimension are read off the
+    placement, apart from each other, with the values of
+    :func:`stratum_dimension` and :func:`stratum_codimension`.  Each
+    graph still passes one full :func:`~treelevel.graphs.validate` and
+    one :func:`is_stable` before it is yielded, and raises as those
+    functions do.  Only the nodes are held, never the list of graphs.
     """
     # the keys and the memo of subtree codes go before any graph is built
     return _Strata(space, [node for _, node in _keyed_nodes(space)])
 
 
 class _Strata:
-    """The sorted recursion nodes of one space; see :func:`iter_strata`."""
+    """The sorted recursion nodes of one space; see :func:`iter_strata`.
+
+    Each node is placed once; the graph, its dimension and its
+    codimension come from that placement, and the graph is checked by
+    :func:`is_stable`, which runs its one full validate first.
+    """
 
     __slots__ = ("space", "nodes")
 
@@ -352,8 +396,10 @@ class _Strata:
     def __iter__(self):
         space = self.space
         for node in self.nodes:
-            g = _materialize(space, node)
-            yield g, stratum_dimension(g, space), stratum_codimension(g, space)
+            stratum = _placed(space, node)
+            if not is_stable(stratum[0]):
+                raise InvalidGraph("dimension is defined for stable types")
+            yield stratum
 
 
 # -- dimension bookkeeping ----------------------------------------------------
@@ -413,6 +459,89 @@ def stratum_codimension(g, space):
     return total
 
 
+# -- stratum counts by codimension --------------------------------------------
+#
+# The symbolic method (Flajolet & Sedgewick, Analytic Combinatorics, ch.
+# II) over the recursions above.  The strata over a label set depend
+# only on its size, so each recursion becomes a polynomial in y by size,
+# the coefficient of y^c counting nodes of codimension c.  A vertex
+# weighs y for the edge above it and a colored vertex y^-1 more; on the
+# colored kinds the top vertex weighs y too, for the 1 in #edges + 1 -
+# #colored, and on the plain kinds it weighs 1.  Polynomials are dicts
+# from exponent to coefficient.
+
+def _poly_add(acc, p, scale=1):
+    for e, c in p.items():
+        acc[e] = acc.get(e, 0) + scale * c
+
+
+def _poly_mul(p, q):
+    out = {}
+    for a, c in p.items():
+        for b, d in q.items():
+            out[a + b] = out.get(a + b, 0) + c * d
+    return out
+
+
+def count_strata(space):
+    """The f-vector of ``space``: ``{codimension: number of strata}``,
+    by codimension, counted from the recursions of the enumeration with
+    no stratum built.  Its values sum to ``len(iter_strata(space))``."""
+    y = {1: 1}
+    one = {0: 1}
+
+    # the caches live for one call; no caller changes a cached dict
+    @functools.cache
+    def blocks(tree, m, r):
+        """Partitions of an m-set into r blocks, each holding a tree
+        (a bubble tree "b" on two labels or more, a colored tree "c"),
+        summed over the size s of the block of the smallest label."""
+        if r == 0:
+            return one if m == 0 else {}
+        out = {}
+        least = 2 if tree == "b" else 1
+        for s in range(least, m - least * (r - 1) + 1):
+            _poly_add(out, _poly_mul(rooted(tree, s), blocks(tree, m - s, r - 1)),
+                      math.comb(m - 1, s - 1))
+        return out
+
+    def branches(weight, m, min_branches):
+        """_branches: own legs, bubble trees on blocks of the rest."""
+        out = {}
+        for k in range(m + 1):
+            for r in range(max(0, min_branches - k), (m - k) // 2 + 1):
+                _poly_add(out, blocks("b", m - k, r), math.comb(m, k))
+        return _poly_mul(weight, out)
+
+    def infinite(m, min_blocks):
+        """_infinite: an infinite vertex over colored trees on blocks."""
+        out = {}
+        for r in range(min_blocks, m + 1):
+            _poly_add(out, blocks("c", m, r))
+        return _poly_mul(y, out)
+
+    @functools.cache
+    def rooted(tree, m):
+        """_m0_rooted ("b") and _mult_rooted ("c")."""
+        if tree == "b":
+            return branches(y, m, 2)
+        out = branches(one, m, 0)
+        _poly_add(out, infinite(m, 2))
+        return out
+
+    n = space.n
+    if space.family == "m0":
+        counts = branches(one, n - 1, 2)
+    elif space.family == "fm":
+        counts = branches(one, n, 0)
+    elif space.family == "mult":
+        counts = rooted("c", n)
+    else:
+        counts = branches(one, n, 0)
+        _poly_add(counts, infinite(n, 0))
+    return {c: counts[c] for c in sorted(counts) if counts[c]}
+
+
 # -- boundary divisors --------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -456,20 +585,20 @@ def _subset_divisor(space, I):
     I = frozenset(I)
     rest = frozenset(range(1, space.n + 1)) - I
     top = {"m0": "b", "fm": "r"}.get(space.family, "c")
-    g = _materialize(space, (top, rest, (("b", I, ()),)))
+    g = _placed(space, (top, rest, (("b", I, ()),)))[0]
     return BoundaryDivisor(space, ("subset", I), g)
 
 
 def _partition_divisor(space, blocks):
     blocks = tuple(sorted((frozenset(b) for b in blocks), key=sorted))
-    g = _materialize(space, ("i", frozenset(),
-                             tuple(("c", block, ()) for block in blocks)))
+    g = _placed(space, ("i", frozenset(),
+                        tuple(("c", block, ()) for block in blocks)))[0]
     return BoundaryDivisor(space, ("partition", frozenset(blocks)), g)
 
 
 def _rho_divisor(space, label="rho"):
     n = space.n
-    g = _materialize(FM(n), ("r", frozenset(range(1, n + 1)), ()))
+    g = _placed(FM(n), ("r", frozenset(range(1, n + 1)), ()))[0]
     return BoundaryDivisor(space, ("rho", label), g)
 
 
@@ -544,7 +673,7 @@ class ClosurePoset:
 def closure_poset(space):
     if space.n > 5:
         raise TooLarge("closure poset is guarded at n <= 5")
-    strata = {k: _materialize(space, node) for k, node in _keyed_nodes(space)}
+    strata = {k: _placed(space, node)[0] for k, node in _keyed_nodes(space)}
     codim = {k: stratum_codimension(g, space) for k, g in strata.items()}
     covers = {k: set() for k in strata}
     for k, g in strata.items():

@@ -18,8 +18,8 @@ from treelevel.strata import (
     M0,
     MULT,
     SCALED,
-    _materialize,
     _node_key,
+    _placed,
     _raw_strata,
     enumerate_strata,
 )
@@ -94,7 +94,7 @@ def test_node_key_is_canonical_key(space):
     nodes = list(_raw_strata(space))
     memo = {}
     for node in nodes:
-        expected = canonical_key(_materialize(space, node))
+        expected = canonical_key(_placed(space, node)[0])
         assert _node_key(space, node, {}) == expected
         assert _node_key(space, node, memo) == expected
 
@@ -151,7 +151,7 @@ def test_mult6_node_keys():
     assert len(nodes) == 36648
     for node in nodes:
         assert (_node_key(space, node, memo)
-                == canonical_key(_materialize(space, node)))
+                == canonical_key(_placed(space, node)[0]))
 
 
 @pytest.mark.slow

@@ -2,8 +2,10 @@
 
 ``cli._write_json`` must print exactly the bytes of
 ``print(json.dumps(obj, indent=2, sort_keys=True))``, also when it
-streams the strata list item by item.  The SHA-256 digests below were
-computed with the ``json.dumps`` writer, before this one replaced it.
+streams the strata list item by item; the streamed items come encoded
+by ``cli._indented``, in the form ``cli._stratum_record`` writes.  The
+SHA-256 digests below were computed with the ``json.dumps`` writer,
+before this one replaced it.
 """
 
 import contextlib
@@ -52,7 +54,8 @@ def test_matches_json_dumps(obj):
 def test_streamed_list_matches_json_dumps(head, items):
     doc = {**head, "strata": items}
     expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    assert printed({**head, "strata": iter(items)}, stream="strata") == expected
+    encoded = iter([cli._indented(item, "    ") for item in items])
+    assert printed({**head, "strata": encoded}, stream="strata") == expected
 
 
 def test_streams_each_item_before_building_the_next():
@@ -62,7 +65,7 @@ def test_streams_each_item_before_building_the_next():
     def items():
         for i in range(3):
             written.append(out.getvalue().count('"item"'))
-            yield {"item": i}
+            yield cli._indented({"item": i}, "    ")
 
     with contextlib.redirect_stdout(out):
         cli._write_json({"a": 1, "strata": items()}, stream="strata")
