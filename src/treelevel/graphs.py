@@ -1,15 +1,15 @@
 """Marked graphs: the combinatorial types of nodal curves.
 
-Four species are supported.  A modular graph records irreducible
-components (with genus), nodes and labelled markings of a nodal curve.
-A rooted forest is the type of a parametrized curve, with the root
-vertex standing for the principal component.  A colored tree is the
-type of a nodal scaled affine line: vertices are partitioned into
-zero-scaling, colored (finite nonzero scaling) and infinite-scaling
-classes, the outgoing marking is leg 0, and every path from a leg to
-leg 0 crosses the colored level exactly once.  A rooted colored tree is
-the type of a scaled parametrized curve, with a root vertex in place of
-leg 0.
+Four species are supported, each a forest.  A modular graph records
+the components, nodes and labelled markings of a stable rational curve,
+so every vertex has genus 0.  A rooted forest is the type of a
+parametrized curve, with the root vertex standing for the principal
+component.  A colored tree is the type of a nodal scaled affine line:
+vertices are partitioned into zero-scaling, colored (finite nonzero
+scaling) and infinite-scaling classes, the outgoing marking is leg 0,
+and every path from a leg to leg 0 crosses the colored level exactly
+once.  A rooted colored tree is the type of a scaled parametrized
+curve, with a root vertex in place of leg 0.
 
 Values are immutable after construction: ``legs``, ``genus`` and
 ``color`` are read-only mappings over dicts built in the constructor,
@@ -21,12 +21,11 @@ pure.
 
 from __future__ import annotations
 
-import itertools
 import json
 from enum import Enum
 from types import MappingProxyType
 
-from .errors import InvalidGraph, KindMismatch, TooLarge
+from .errors import InvalidGraph, KindMismatch
 
 
 class Kind(Enum):
@@ -44,9 +43,6 @@ class Color(Enum):
 
 COLORED_KINDS = (Kind.COLORED_TREE, Kind.ROOTED_COLORED_TREE)
 ROOTED_KINDS = (Kind.ROOTED_FOREST, Kind.ROOTED_COLORED_TREE)
-
-#: Maximum vertex count for the exhaustive modular-graph canonical form.
-MODULAR_CANONICAL_GUARD = 10
 
 
 def _set_fields(g, kind, vertex_ids, genus, color, edges, legs, root):
@@ -67,10 +63,11 @@ def _set_fields(g, kind, vertex_ids, genus, color, edges, legs, root):
 class MarkedGraph:
     """A graph with decorated vertices, finite edges and labelled legs.
 
-    ``vertices`` maps vertex id to its decoration: a genus for the
-    modular kind, a :class:`Color` for the colored kinds, ``None`` for
-    rooted forests.  ``edges`` is a sequence of unordered vertex-id
-    pairs; the given order is kept and edge indices refer to it.
+    ``vertices`` maps vertex id to its decoration: a genus (0 on a
+    valid graph) for the modular kind, a :class:`Color` for the colored
+    kinds, ``None`` for rooted forests.  ``edges`` is a sequence of
+    unordered vertex-id pairs; the given order is kept and edge indices
+    refer to it.
     ``legs`` maps leg label to the vertex carrying it.
 
     ``legs``, ``genus`` and ``color`` are read-only mappings and no
@@ -161,7 +158,7 @@ class MarkedGraph:
         return sorted(l for l, w in self.legs.items() if w == v)
 
     def degree(self, v):
-        """Number of edge endpoints at ``v``; loops count twice."""
+        """Number of edges at ``v``."""
         return sum((a == v) + (b == v) for a, b in self.edges)
 
     def valence(self, v):
@@ -229,11 +226,8 @@ class MarkedGraph:
     def is_forest(self, comps):
         """True when there are no loops, parallel edges or cycles;
         ``comps`` are the graph's :meth:`components`."""
-        if any(a == b for a, b in self.edges):
-            return False
-        if len(set(self.edges)) != len(self.edges):
-            return False
-        # acyclic <=> every component has #edges = #vertices - 1
+        # a forest has #vertices - #components edges; components ignore
+        # loops, so a loop, a parallel edge or a cycle leaves more
         return len(self.edges) == len(self.vertex_ids) - len(comps)
 
     # -- equality / hashing ----------------------------------------------
@@ -453,10 +447,20 @@ def _component_edge_rule(g, comp, problems, allowed_zero_infty=()):
         if a not in comp:
             continue
         ca, cb = g.color[a], g.color[b]
-        if {ca, cb} == {Color.ZERO, Color.INFINITY} and (a, b) not in allowed_zero_infty:
+        if ((ca is Color.ZERO and cb is Color.INFINITY
+             or ca is Color.INFINITY and cb is Color.ZERO)
+                and (a, b) not in allowed_zero_infty):
             problems.append(f"edge {i} joins zero and infinite scaling")
         if ca is Color.COLORED and cb is Color.COLORED:
             problems.append(f"edge {i} joins two colored vertices")
+
+
+def _uniform_zero_or_infinite(g, comp):
+    """Whether the vertices of ``comp`` all have zero scaling or all
+    infinite scaling."""
+    first = g.color[comp[0]]
+    return (first is not Color.COLORED
+            and all(g.color[v] is first for v in comp))
 
 
 def validate(g):
@@ -484,23 +488,18 @@ def validate(g):
         elif g.root is not None:
             problems.append("only rooted kinds carry a root vertex")
 
-    if g.kind is Kind.MODULAR:
-        for v, gen in g.genus.items():
-            if gen < 0:
-                problems.append(f"vertex {v} has negative genus")
-        return problems
+    for v, gen in g.genus.items():
+        if gen != 0:
+            problems.append(f"vertex {v} has genus {gen}, not 0")
 
-    # tree kinds: forests only; one adjacency and one list of components
+    # every kind is a forest; one adjacency and one list of components
     # serve every check below
     adj = g.adjacency()
     comps = g.components(adj)
     if not g.is_forest(comps):
         problems.append("tree kinds must be loop-free, multi-edge-free forests")
         return problems
-    if problems:
-        return problems
-
-    if g.kind is Kind.ROOTED_FOREST:
+    if problems or g.kind not in COLORED_KINDS:
         return problems
 
     if g.kind is Kind.COLORED_TREE:
@@ -514,12 +513,10 @@ def validate(g):
                     if l != 0 and g.legs[l] in comp:
                         _monotone_path_problems(g, l, parents, problems)
                 _component_edge_rule(g, comp, problems)
-            else:
-                cs = {g.color[v] for v in comp}
-                if cs not in ({Color.ZERO}, {Color.INFINITY}):
-                    problems.append(
-                        f"component {comp} away from leg 0 must be uniformly "
-                        "zero or infinite scaling")
+            elif not _uniform_zero_or_infinite(g, comp):
+                problems.append(
+                    f"component {comp} away from leg 0 must be uniformly "
+                    "zero or infinite scaling")
         return problems
 
     # rooted colored tree
@@ -530,8 +527,7 @@ def validate(g):
         return problems
     for comp in comps:
         if r not in comp:
-            cs = {g.color[v] for v in comp}
-            if cs not in ({Color.ZERO}, {Color.INFINITY}):
+            if not _uniform_zero_or_infinite(g, comp):
                 problems.append(
                     f"component {comp} away from the root must be uniformly "
                     "zero or infinite scaling")
@@ -550,8 +546,7 @@ def validate(g):
             parents = _parents(adj, r)
             for w in set(adj[r]):
                 sub = _subtree_vertices(r, w, adj)
-                subcolors = {g.color[v] for v in sub}
-                if subcolors == {Color.ZERO}:
+                if all(g.color[v] is Color.ZERO for v in sub):
                     allowed.add((min(r, w), max(r, w)))
                     continue
                 for l, lv in g.legs.items():
@@ -597,13 +592,10 @@ def require_valid(g):
 def min_valence(g, v):
     """The least valence at which vertex ``v`` of ``g`` is stable.
 
-    A genus-g vertex needs 2g - 2 + valence > 0.  The root vertex of a
-    rooted kind is unconstrained, a colored vertex needs valence 2
-    (its component carries a free point at infinity) and every other
-    vertex, like genus zero, needs 3.
+    The root vertex of a rooted kind is unconstrained, a colored vertex
+    needs valence 2 (its component carries a free point at infinity) and
+    every other vertex, a rational component, needs 3.
     """
-    if g.kind is Kind.MODULAR:
-        return max(0, 3 - 2 * g.genus[v])
     if v == g.root:
         return 0
     if g.kind in COLORED_KINDS and g.color[v] is Color.COLORED:
@@ -621,11 +613,11 @@ def is_stable(g):
 
 # -- canonical form ----------------------------------------------------------
 #
-# A canonical key is ``repr((kind, codes))``.  For trees and tree-like
-# modular graphs, ``codes`` is the sorted list of the component codes,
-# each the code of the component rooted at a chosen vertex; the code of
-# a rooted subtree is (decoration, loops, sorted legs, sorted child
-# codes).  strata reads the same codes straight off its enumeration
+# A canonical key is ``repr((kind, codes))``.  ``codes`` is the sorted
+# list of the component codes, each the code of the component rooted at
+# a chosen vertex; the code of a rooted subtree is (decoration, 0, sorted
+# legs, sorted child codes), the 0 a fixed slot kept so that keys stay
+# byte-stable.  strata reads the same codes straight off its enumeration
 # nodes, so both build them with the helpers below.
 
 def _decoration(kind, value):
@@ -647,10 +639,10 @@ def _decor(g, v):
     return _decoration(g.kind, v == g.root)
 
 
-def _vertex_code(decor, loops, legs, children):
-    """Code of a rooted subtree from its top vertex's decoration, loop
-    count and sorted leg tuple and the codes of its child subtrees."""
-    return (decor, loops, legs, tuple(sorted(children)))
+def _vertex_code(decor, legs, children):
+    """Code of a rooted subtree from its top vertex's decoration and
+    sorted leg tuple and the codes of its child subtrees."""
+    return (decor, 0, legs, tuple(sorted(children)))
 
 
 def _key_bytes(kind, codes):
@@ -659,81 +651,36 @@ def _key_bytes(kind, codes):
     return repr((kind.value, codes)).encode()
 
 
-def _encode_rooted(g, v, parent, adj, legs_at, loops_at):
+def _encode_rooted(g, v, parent, adj, legs_at):
     return _vertex_code(
-        _decor(g, v), loops_at.get(v, 0), tuple(legs_at.get(v, ())),
-        [_encode_rooted(g, w, v, adj, legs_at, loops_at)
-         for w in adj[v] if w != parent])
+        _decor(g, v), tuple(legs_at.get(v, ())),
+        [_encode_rooted(g, w, v, adj, legs_at) for w in adj[v] if w != parent])
 
 
-def _component_key(g, comp, adj, legs_at, loops_at):
+def _component_key(g, comp, adj, legs_at):
     comp_set = set(comp)
     if g.anchor in comp_set:
-        return _encode_rooted(g, g.anchor, None, adj, legs_at, loops_at)
+        return _encode_rooted(g, g.anchor, None, adj, legs_at)
     legs_in = [l for l, v in g.legs.items() if v in comp_set]
     if legs_in:
-        return _encode_rooted(g, g.legs[min(legs_in)], None, adj, legs_at,
-                              loops_at)
-    return min(_encode_rooted(g, v, None, adj, legs_at, loops_at) for v in comp)
-
-
-def _modular_bruteforce_key(g):
-    if len(g.vertex_ids) > MODULAR_CANONICAL_GUARD:
-        raise TooLarge(
-            f"modular canonical form limited to {MODULAR_CANONICAL_GUARD} vertices")
-    # group vertices by an isomorphism invariant to cut the search space
-    def inv(v):
-        return (g.genus[v], g.degree(v), tuple(g.legs_at(v)))
-
-    groups = {}
-    for v in g.vertex_ids:
-        groups.setdefault(inv(v), []).append(v)
-    keys = sorted(groups)
-    best = None
-    pools = [itertools.permutations(groups[k]) for k in keys]
-    for choice in itertools.product(*pools):
-        relabel = {}
-        pos = 0
-        for perm in choice:
-            for v in perm:
-                relabel[v] = pos
-                pos += 1
-        sig = (
-            tuple(sorted((relabel[v], g.genus[v]) for v in g.vertex_ids)),
-            tuple(sorted(tuple(sorted((relabel[a], relabel[b]))) for a, b in g.edges)),
-            tuple(sorted((l, relabel[v]) for l, v in g.legs.items())),
-        )
-        if best is None or sig < best:
-            best = sig
-    return best
+        return _encode_rooted(g, g.legs[min(legs_in)], None, adj, legs_at)
+    return min(_encode_rooted(g, v, None, adj, legs_at) for v in comp)
 
 
 def canonical_key(g):
     """A byte string equal for two graphs iff they are isomorphic.
 
-    Isomorphisms preserve the kind, leg labels, genus/color decorations
-    and the root.  Tree kinds (and tree-like modular graphs) use a
-    rooted canonical encoding; modular graphs with cycles fall back to
-    exhaustive minimization over decoration-compatible vertex orders.
+    Isomorphisms preserve the kind, leg labels, decorations and the
+    root.  Every valid graph is a forest, encoded component by component
+    from a rooted canonical form.
     """
     require_valid(g)
-    loops_at = {}
-    for a, b in g.edges:
-        if a == b:
-            loops_at[a] = loops_at.get(a, 0) + 1
     adj = g.adjacency()
-    comps = g.components(adj)
-    if g.kind is Kind.MODULAR:
-        # a forest has exactly #vertices - #components non-loop edges; a
-        # cycle, parallel edges included, needs more
-        acyclic = (len(g.edges) - sum(loops_at.values())
-                   == len(g.vertex_ids) - len(comps))
-        if not acyclic:
-            return _key_bytes(g.kind, _modular_bruteforce_key(g))
     legs_at = {}
     for l, v in sorted(g.legs.items()):
         legs_at.setdefault(v, []).append(l)
-    keys = sorted(_component_key(g, c, adj, legs_at, loops_at) for c in comps)
+    keys = sorted(_component_key(g, c, adj, legs_at)
+                  for c in g.components(adj))
     return _key_bytes(g.kind, keys)
 
 

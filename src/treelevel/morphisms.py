@@ -57,24 +57,15 @@ def _merge(g, keep, absorbed, decoration, dropped_edge_indices):
 def collapse_edge(g, edge):
     """Collapse a finite edge, merging its endpoints.
 
-    Modular graphs add genus under the merge and turn a collapsed loop
-    into a genus increment.  For colored kinds the edge must join two
-    vertices of zero/colored type or two of infinite type; a
-    zero-colored merge is colored.
+    For colored kinds the edge must join two vertices of zero/colored
+    type or two of infinite type; a zero-colored merge is colored.
     """
     require_valid(g)
     if not 0 <= edge < len(g.edges):
         raise NoSuchEdge(f"edge index {edge}")
     a, b = g.edges[edge]
 
-    if a == b:
-        if g.kind is not Kind.MODULAR:
-            raise ForbiddenCollapse("loops only occur on modular graphs")
-        return _merge(g, a, (), g.genus[a] + 1, (edge,))
-
-    if g.kind is Kind.MODULAR:
-        merged_decor = g.genus[a] + g.genus[b]
-    elif g.kind in COLORED_KINDS:
+    if g.kind in COLORED_KINDS:
         ca, cb = g.color[a], g.color[b]
         if ca is Color.INFINITY and cb is Color.INFINITY:
             merged_decor = Color.INFINITY
@@ -154,12 +145,6 @@ def cut_edge(g, edge, new_labels):
     return out
 
 
-def _total_genus(g):
-    comps = g.components()
-    b1 = len(g.edges) - len(g.vertex_ids) + len(comps)
-    return sum(g.genus.values()) + b1
-
-
 def forget_tail(g, leg):
     """Forget a leg, then merge unstable vertices until stable.
 
@@ -178,9 +163,8 @@ def forget_tail(g, leg):
     if not is_stable(g):
         raise InvalidGraph("forget_tail needs a stable input")
 
-    if g.kind is Kind.MODULAR and g.is_connected():
-        if 2 * _total_genus(g) + (len(g.legs) - 1) < 3:
-            raise MinimumMarkings("a stable curve needs 2g + n >= 3")
+    if g.kind is Kind.MODULAR and g.is_connected() and g.n - 1 < 3:
+        raise MinimumMarkings("a stable curve needs 2g + n >= 3")
     if g.kind is Kind.COLORED_TREE and g.n - 1 < 1:
         raise MinimumMarkings("a scaled line needs at least one marking")
 
@@ -189,21 +173,19 @@ def forget_tail(g, leg):
     cur = MarkedGraph(g.kind, g.decorations(), g.edges, legs, g.root)
     while cur.valence(v) < min_valence(cur, v):
         edges_at = [i for i, e in enumerate(cur.edges) if v in e]
-        if cur.kind in COLORED_KINDS and cur.color[v] is Color.COLORED:
-            if len(edges_at) != 1 or cur.legs_at(v):
-                raise InvalidGraph(f"vertex {v} cannot be removed cleanly")
-        elif any(cur.edges[i][0] == cur.edges[i][1] for i in edges_at):
-            raise InvalidGraph(f"cannot fuse through a loop at {v}")
-        elif not (len(edges_at) == 2
-                  or len(edges_at) == 1 and len(cur.legs_at(v)) == 1):
-            # no edge and two legs or none: a whole component fell below
-            # the minimum
+        if cur.color.get(v) is Color.COLORED:
+            merges = len(edges_at) == 1 and not cur.legs_at(v)
+        else:
+            merges = (len(edges_at) == 2
+                      or len(edges_at) == 1 and len(cur.legs_at(v)) == 1)
+        if not merges:
+            # no edge: a whole component fell below the minimum, such as
+            # a colored vertex left with leg 0 alone
             raise MinimumMarkings(
                 f"component at vertex {v} cannot absorb its markings")
         a, b = cur.edges[edges_at[0]]
         w = b if a == v else a
-        cur = _merge(cur, w, (v,), cur.genus.get(w, cur.color.get(w)),
-                     (edges_at[0],))
+        cur = _merge(cur, w, (v,), cur.color.get(w), (edges_at[0],))
         v = w
 
     if not is_stable(cur):

@@ -24,6 +24,7 @@ from .strata import (
     MULT,
     SCALED,
     boundary_divisors,
+    count_strata,
     enumerate_strata,
     mult_divisor_count,
     stratum_codimension,
@@ -193,7 +194,8 @@ _SMALL_SPACES = (*(M0(k) for k in (3, 4, 5)), *(FM(k) for k in range(6)),
 def criterion_7():
     """dim + codim equals the ambient dimension on every stratum
     (n <= 5, all kinds); divisor count 2^n - n - 1 + Bell(n) - 1
-    (n <= 6)."""
+    (n <= 6), both as listed divisors and as the codimension-1 entry of
+    the f-vector."""
     checked = 0
     for sp in _SMALL_SPACES:
         for g in enumerate_strata(sp):
@@ -202,9 +204,11 @@ def criterion_7():
                 return False, f"{sp}: identity fails on {g}"
             checked += 1
     for n in range(1, 7):
-        got = len(boundary_divisors(MULT(n)))
-        if got != mult_divisor_count(n):
-            return False, f"n={n}: {got} != {mult_divisor_count(n)}"
+        want = mult_divisor_count(n)
+        for got in (len(boundary_divisors(MULT(n))),
+                    count_strata(MULT(n)).get(1, 0)):
+            if got != want:
+                return False, f"n={n}: {got} != {want}"
     return True, f"{checked} strata checked; divisor counts match"
 
 

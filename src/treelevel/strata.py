@@ -283,7 +283,7 @@ def _down_code(node, decor, memo):
     if code is None:
         tag, own, children = node
         code = memo[id(node)] = _vertex_code(
-            decor[tag], 0, tuple(sorted(own)),
+            decor[tag], tuple(sorted(own)),
             [_down_code(c, decor, memo) for c in children])
     return code
 
@@ -308,7 +308,7 @@ def _rerooted_code(node, decor, memo, leg):
     above = []
     for (tag, own, children), down in path:
         code = _vertex_code(
-            decor[tag], 0, tuple(sorted(own)),
+            decor[tag], tuple(sorted(own)),
             [_down_code(c, decor, memo) for i, c in enumerate(children)
              if i != down] + above)
         above = [code]
@@ -329,7 +329,7 @@ def _node_key(space, node, memo):
     if kind is Kind.COLORED_TREE:
         own = own | {0}
     return _key_bytes(kind, [_vertex_code(
-        decor[tag], 0, tuple(sorted(own)),
+        decor[tag], tuple(sorted(own)),
         [_down_code(c, decor, memo) for c in children])])
 
 
@@ -413,10 +413,9 @@ def _check_space_graph(g, space):
 def stratum_dimension(g, space):
     """Sum of per-vertex moduli dimensions.
 
-    A genus-g vertex of valence k contributes 3g - 3 + k.  Any other
-    vertex but the root contributes k less its
+    A vertex of valence k other than the root contributes k less its
     :func:`~treelevel.graphs.min_valence`: k - 2 for a colored vertex
-    and k - 3 for the rest, like genus zero.  A parametrized root
+    and k - 3 for the rest.  A parametrized root
     contributes k (a configuration of k points on the curve) and a
     colored root k + 1 (k points plus the scaling value).
     """
@@ -427,9 +426,7 @@ def stratum_dimension(g, space):
     valences = g.valences()
     for v in g.vertex_ids:
         k = valences[v]
-        if g.kind is Kind.MODULAR:
-            total += 3 * g.genus[v] - 3 + k
-        elif v == g.root:
+        if v == g.root:
             total += k + 1 if g.color.get(v) is Color.COLORED else k
         else:
             total += k - min_valence(g, v)

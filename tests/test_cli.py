@@ -274,6 +274,14 @@ class TestUsage:
         assert main(["cone", "--graph", str(path)]) == 2
         assert_one_line_error(capsys)
 
+    def test_genus_one_graph_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps({
+            "kind": "modular", "vertices": [{"id": 0, "genus": 1}],
+            "legs": {"1": 0}}))
+        assert main(["cone", "--graph", str(path)]) == 2
+        assert "genus 1" in assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("command, text", [
         ("check-associativity", "{bad"),
         ("check-associativity", json.dumps({"mu": []})),

@@ -13,7 +13,6 @@ from treelevel.errors import (
     InvalidGraph,
     KindMismatch,
     NothingToCollapse,
-    TooLarge,
 )
 from treelevel.graphs import (
     Color,
@@ -30,7 +29,11 @@ from treelevel.graphs import (
     rooted_forest,
     validate,
 )
-from treelevel.morphisms import collapse_with_relations
+from treelevel.morphisms import (
+    collapse_edge,
+    collapse_with_relations,
+    forget_tail,
+)
 from treelevel.strata import (
     FM,
     M0,
@@ -68,10 +71,6 @@ class TestValidate:
         assert problems
         assert any("infinite" in p or "colored" in p for p in problems)
 
-    def test_loop_legal_for_modular(self):
-        g = modular_graph({0: 1}, [(0, 0)], {1: 0})
-        assert validate(g) == []
-
     def test_loop_illegal_for_trees(self):
         g = colored_tree({0: Color.COLORED}, [(0, 0)], {0: 0, 1: 0})
         assert validate(g)
@@ -79,10 +78,6 @@ class TestValidate:
     def test_multiedge_illegal_for_trees(self):
         g = rooted_forest([0, 1], [(0, 1), (0, 1)], {1: 1, 2: 1}, root=0)
         assert validate(g)
-
-    def test_multiedge_legal_for_modular(self):
-        g = modular_graph({0: 0, 1: 0}, [(0, 1), (0, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
-        assert validate(g) == []
 
     def test_leg_zero_reserved(self):
         g = modular_graph({0: 0}, [], {0: 0, 1: 0, 2: 0})
@@ -136,6 +131,44 @@ class TestValidate:
         assert validate(mixed)
 
 
+# modular graphs that are no genus-zero forest, each otherwise stable,
+# with the problem validate reports
+NOT_GENUS_ZERO_FORESTS = {
+    "genus-one": (modular_graph({0: 1, 1: 0}, [(0, 1)], {1: 0, 2: 1, 3: 1}),
+                  "vertex 0 has genus 1, not 0"),
+    "negative-genus": (
+        modular_graph({0: -1, 1: 0}, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1}),
+        "vertex 0 has genus -1, not 0"),
+    "loop": (modular_graph({0: 0, 1: 0}, [(0, 0), (0, 1)], {1: 1, 2: 1}),
+             "tree kinds must be loop-free, multi-edge-free forests"),
+    "parallel-edge": (
+        modular_graph({0: 0, 1: 0}, [(0, 1), (0, 1)],
+                      {1: 0, 2: 0, 3: 1, 4: 1}),
+        "tree kinds must be loop-free, multi-edge-free forests"),
+    "three-cycle": (
+        modular_graph({0: 0, 1: 0, 2: 0}, [(0, 1), (1, 2), (0, 2)],
+                      {1: 0, 2: 1, 3: 2}),
+        "tree kinds must be loop-free, multi-edge-free forests"),
+}
+
+
+class TestGenusZeroBoundary:
+    @pytest.mark.parametrize("name", sorted(NOT_GENUS_ZERO_FORESTS))
+    def test_validate_reports_the_problem(self, name):
+        g, problem = NOT_GENUS_ZERO_FORESTS[name]
+        assert validate(g) == [problem]
+
+    @pytest.mark.parametrize("name", sorted(NOT_GENUS_ZERO_FORESTS))
+    @pytest.mark.parametrize("operation", [
+        canonical_key, is_stable, lambda g: collapse_edge(g, 0),
+        lambda g: forget_tail(g, 1),
+    ], ids=["canonical_key", "is_stable", "collapse_edge", "forget_tail"])
+    def test_operations_raise_invalid_graph(self, name, operation):
+        g, problem = NOT_GENUS_ZERO_FORESTS[name]
+        with pytest.raises(InvalidGraph, match=problem):
+            operation(g)
+
+
 class TestStability:
     def test_colored_valence_two_is_stable(self):
         assert is_stable(open_mult(1))
@@ -150,10 +183,6 @@ class TestStability:
         assert is_stable(modular_graph({0: 0}, [], {1: 0, 2: 0, 3: 0}))
         assert not is_stable(modular_graph({0: 0}, [], {1: 0, 2: 0}))
 
-    def test_genus_one_needs_one_special_point(self):
-        assert is_stable(modular_graph({0: 1}, [], {1: 0}))
-        assert not is_stable(modular_graph({0: 1}, [], {}))
-
     def test_root_is_unconstrained(self):
         assert is_stable(rooted_forest([0], [], {}, root=0))
         g = rooted_colored_tree({0: Color.INFINITY}, [], {}, root=0)
@@ -161,10 +190,17 @@ class TestStability:
 
     @pytest.mark.parametrize("genus", range(4))
     def test_min_valence_is_modular_stability(self, genus):
+        # a genus-0 vertex is stable from three special points on; any
+        # other genus is refused before stability is asked
         for k in range(6):
             g = modular_graph({0: genus}, [], {l: 0 for l in range(1, k + 1)})
-            assert (k >= min_valence(g, 0)) == (2 * genus - 2 + k > 0)
-            assert is_stable(g) == (2 * genus - 2 + k > 0)
+            if genus:
+                assert validate(g) == [f"vertex 0 has genus {genus}, not 0"]
+                with pytest.raises(InvalidGraph):
+                    is_stable(g)
+            else:
+                assert (k >= min_valence(g, 0)) == (k >= 3)
+                assert is_stable(g) == (k >= 3)
 
     def test_invalid_graph_raises(self):
         g = colored_tree({0: Color.COLORED}, [(0, 0)], {0: 0, 1: 0})
@@ -221,21 +257,31 @@ class TestCanonicalKey:
         assert is_isomorphic(g, g)
 
     def test_modular_cycle_graphs(self):
-        a = modular_graph({0: 0, 1: 0}, [(0, 1), (0, 1)],
-                          {1: 0, 2: 0, 3: 1, 4: 1})
-        b = modular_graph({5: 0, 9: 0}, [(5, 9), (5, 9)],
-                          {1: 5, 2: 5, 3: 9, 4: 9})
-        assert canonical_key(a) == canonical_key(b)
-        c = modular_graph({0: 0, 1: 0}, [(0, 1), (0, 1)],
-                          {1: 0, 3: 0, 2: 1, 4: 1})
-        assert canonical_key(a) != canonical_key(c)
+        # a cycle, parallel edges included, is no genus-zero type
+        for edges in ([(0, 1), (0, 1)], [(0, 1), (1, 2), (0, 2)]):
+            g = modular_graph({0: 0, 1: 0, 2: 0}, edges,
+                              {1: 0, 2: 0, 3: 1, 4: 1, 5: 2, 6: 2})
+            with pytest.raises(InvalidGraph):
+                canonical_key(g)
 
     def test_modular_guard(self):
-        big = modular_graph({i: 0 for i in range(11)},
-                            [(i, (i + 1) % 11) for i in range(11)],
-                            {1: 0, 2: 1, 3: 2})
-        with pytest.raises(TooLarge):
-            canonical_key(big)
+        # no size guard is left: a long cycle is refused as invalid and a
+        # long chain gets its key from the rooted encoding
+        cycle = modular_graph({i: 0 for i in range(11)},
+                              [(i, (i + 1) % 11) for i in range(11)],
+                              {1: 0, 2: 1, 3: 2})
+        with pytest.raises(InvalidGraph):
+            canonical_key(cycle)
+        ends = {1: 0, 2: 0, 3: 11, 4: 11}
+        chain = modular_graph({i: 0 for i in range(12)},
+                              [(i, i + 1) for i in range(11)],
+                              {**ends, **{l: l - 5 for l in range(6, 16)}})
+        flipped = modular_graph({i: 0 for i in range(12)},
+                                [(i, i + 1) for i in range(11)],
+                                {**{l: 11 - v for l, v in ends.items()},
+                                 **{l: 16 - l for l in range(6, 16)}})
+        assert is_stable(chain)
+        assert canonical_key(chain) == canonical_key(flipped)
 
     def test_complete_invariant_on_enumerated_strata(self):
         # canonical-key equality must agree with exhaustive bijection
@@ -264,22 +310,18 @@ class TestCanonicalKey:
 
 
 class TestModularCanonicalCompleteness:
-    """The exhaustive-minimization path must be a complete invariant on
-    small modular graphs with loops, parallel edges and genus."""
+    """The rooted encoding is a complete invariant on small modular
+    forests, disconnected ones and legless components included."""
 
     def _all_small_modular(self):
-        pair_types = [(0, 0), (0, 1), (1, 1)]
+        pairs = list(itertools.combinations(range(4), 2))
         graphs = []
-        for count in itertools.product(range(3), repeat=len(pair_types)):
-            edges = []
-            for pair, c in zip(pair_types, count):
-                edges.extend([pair] * c)
-            if len(edges) > 3:
-                continue
-            for g0, g1 in itertools.product(range(2), repeat=2):
-                for l1, l2 in itertools.product((0, 1), repeat=2):
+        for k in range(4):
+            for edges in itertools.combinations(pairs, k):
+                for legs in itertools.product(range(4), repeat=2):
                     graphs.append(modular_graph(
-                        {0: g0, 1: g1}, edges, {1: l1, 2: l2}))
+                        dict.fromkeys(range(4), 0), edges,
+                        {1: legs[0], 2: legs[1]}))
         return [g for g in graphs if not validate(g)]
 
     def test_key_equality_iff_bijection(self):
