@@ -405,8 +405,9 @@ def cmd_selftest(args):
                 f"--criteria: no criterion {', '.join(map(str, unknown))}")
     results = selftest.run_all(selected)
     failed = 0
-    for num, name, ok, detail in results:
-        print(f"{'PASS' if ok else 'FAIL'} criterion {num} ({name}): {detail}")
+    for num, name, ok, detail, ms in results:
+        print(f"{'PASS' if ok else 'FAIL'} criterion {num} ({name}): {detail}"
+              f" [{ms:.0f} ms]")
         failed += 0 if ok else 1
     print(f"{len(results) - failed}/{len(results)} criteria passed")
     return 0 if failed == 0 else 1

@@ -200,20 +200,42 @@ def _weighted_sum(start, terms):
 def check_associativity(alg, v=None):
     """(a *_v b) *_v c = a *_v (b *_v c) on all basis triples.
 
-    Returns (ok, witness); the witness names the first failing triple
-    and the differing coefficient.
+    Works from the table C[i, j] = e_i *_v e_j of dim^2 star products:
+    the two sides of the triple (i, j, k) are sum_l C[i, j]_l C[l, k]
+    and sum_l C[j, k]_l C[i, l].  The star product is bilinear over the
+    truncated ring (see ``_contraction``), so these equal the nested
+    products coefficient by coefficient.  Returns (ok, witness); the
+    witness names the first failing triple and the differing
+    coefficient.
     """
     ring = alg.ring
     if v is None:
         v = generic_point(ring, alg.dim)
-    for i, j, k in itertools.product(range(alg.dim), repeat=3):
-        lhs = star_product(alg, v, star_product(alg, v, i, j), k)
-        rhs = star_product(alg, v, i, star_product(alg, v, j, k))
+    basis = range(alg.dim)
+    table = {(i, j): star_product(alg, v, i, j)
+             for i, j in itertools.product(basis, repeat=2)}
+    for i, j, k in itertools.product(basis, repeat=3):
+        lhs = _combination(ring, alg.dim, table[i, j],
+                           [table[l, k] for l in basis])
+        rhs = _combination(ring, alg.dim, table[j, k],
+                           [table[i, l] for l in basis])
         wit = _witness({"triple": (alg.basis[i], alg.basis[j], alg.basis[k])},
                        lhs, rhs, alg.basis)
         if wit:
             return False, wit
     return True, None
+
+
+def _combination(ring, dim, coeffs, vectors):
+    """sum_l coeffs[l] * vectors[l] for series coefficients and series
+    vectors of length ``dim``."""
+    out = [ring.zero()] * dim
+    for c, vec in zip(coeffs, vectors):
+        if c.is_zero():
+            continue
+        for m, x in enumerate(vec):
+            out[m] = out[m] + c * x
+    return tuple(out)
 
 
 def _witness(head, lhs, rhs, components=None):
@@ -300,6 +322,9 @@ def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
 
     ``pairs`` restricts the checked basis pairs (useful when the source
     product is only faithful below a degree); default is all pairs.
+    J[l] = D_v phi(e_l) is computed once per basis vector.  D_v phi is
+    linear over the truncated ring, so the left side is
+    sum_l (e_i *_v e_j)_l J[l], coefficient by coefficient.
     Returns (ok, witness).
     """
     ring = phi.ring
@@ -307,13 +332,12 @@ def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
         v = generic_point(ring, phi.dim_v)
     v = as_vector(ring, phi.dim_v, v)
     w = push_forward(phi, v)
+    jac = [derivative(phi, v, l) for l in range(phi.dim_v)]
     if pairs is None:
         pairs = itertools.combinations_with_replacement(range(phi.dim_v), 2)
     for i, j in pairs:
-        lhs = derivative(phi, v, star_product(alg_v, v, i, j))
-        da = derivative(phi, v, i)
-        db = derivative(phi, v, j)
-        rhs = star_product(alg_w, w, da, db)
+        lhs = _combination(ring, phi.dim_w, star_product(alg_v, v, i, j), jac)
+        rhs = star_product(alg_w, w, jac[i], jac[j])
         wit = _witness({"pair": (i, j)}, lhs, rhs, range(phi.dim_w))
         if wit:
             return False, wit
@@ -523,10 +547,10 @@ def check_isometry(tau_v, tau_w, phi, v=None):
         v = generic_point(ring, phi.dim_v)
     v = as_vector(ring, phi.dim_v, v)
     w = push_forward(phi, v)
+    jac = [derivative(phi, v, l) for l in range(phi.dim_v)]
     for i, j in itertools.combinations_with_replacement(range(phi.dim_v), 2):
         lhs = bilinear_form(tau_v, v, i, j)
-        rhs = bilinear_form(tau_w, w, derivative(phi, v, i),
-                            derivative(phi, v, j))
+        rhs = bilinear_form(tau_w, w, jac[i], jac[j])
         wit = _witness({"pair": (i, j)}, (lhs,), (rhs,))
         if wit:
             return False, wit

@@ -164,7 +164,7 @@ def forget_tail(g, leg):
         raise InvalidGraph("forget_tail needs a stable input")
 
     if g.kind is Kind.MODULAR and g.is_connected() and g.n - 1 < 3:
-        raise MinimumMarkings("a stable curve needs 2g + n >= 3")
+        raise MinimumMarkings("a stable curve needs n >= 3 markings")
     if g.kind is Kind.COLORED_TREE and g.n - 1 < 1:
         raise MinimumMarkings("a scaled line needs at least one marking")
 

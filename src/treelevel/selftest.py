@@ -374,13 +374,17 @@ CRITERIA = [
 
 
 def run_all(selected=None):
+    """(number, name, ok, detail, milliseconds) for each selected
+    criterion, in order."""
     results = []
     for num, name, fn in CRITERIA:
         if selected and num not in selected:
             continue
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except Exception as err:  # a crash is a failure, not an abort
             ok, detail = False, f"{type(err).__name__}: {err}"
-        results.append((num, name, ok, detail))
+        ms = (time.perf_counter() - start) * 1000
+        results.append((num, name, ok, detail, ms))
     return results

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -222,6 +223,10 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "3/3 criteria passed" in out
+        verdicts = [line for line in out.splitlines()
+                    if line.startswith(("PASS", "FAIL"))]
+        assert len(verdicts) == 3
+        assert all(re.search(r" \[\d+ ms\]$", line) for line in verdicts)
 
 
 class TestUsage:

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from treelevel import cohft
 from treelevel.cohft import (
     CohFTAlgebra,
     Morphism,
@@ -92,6 +94,109 @@ class TestAssociativity:
         ok, wit = check_associativity(bad)
         assert not ok
         assert wit["lhs"] != wit["rhs"]
+
+
+# -- the checks from their definitions, one product or derivative per use --
+
+def ref_associativity(alg):
+    v = generic_point(alg.ring, alg.dim)
+    for i, j, k in itertools.product(range(alg.dim), repeat=3):
+        lhs = star_product(alg, v, star_product(alg, v, i, j), k)
+        rhs = star_product(alg, v, i, star_product(alg, v, j, k))
+        wit = cohft._witness(
+            {"triple": (alg.basis[i], alg.basis[j], alg.basis[k])},
+            lhs, rhs, alg.basis)
+        if wit:
+            return False, wit
+    return True, None
+
+
+def ref_star_morphism(phi, alg_v, alg_w):
+    v = generic_point(phi.ring, phi.dim_v)
+    w = push_forward(phi, v)
+    for i, j in itertools.combinations_with_replacement(range(phi.dim_v), 2):
+        lhs = derivative(phi, v, star_product(alg_v, v, i, j))
+        rhs = star_product(alg_w, w, derivative(phi, v, i),
+                           derivative(phi, v, j))
+        wit = cohft._witness({"pair": (i, j)}, lhs, rhs, range(phi.dim_w))
+        if wit:
+            return False, wit
+    return True, None
+
+
+def ref_isometry(tau_v, tau_w, phi):
+    v = generic_point(phi.ring, phi.dim_v)
+    w = push_forward(phi, v)
+    for i, j in itertools.combinations_with_replacement(range(phi.dim_v), 2):
+        lhs = bilinear_form(tau_v, v, i, j)
+        rhs = bilinear_form(tau_w, w, derivative(phi, v, i),
+                            derivative(phi, v, j))
+        wit = cohft._witness({"pair": (i, j)}, (lhs,), (rhs,))
+        if wit:
+            return False, wit
+    return True, None
+
+
+TABLE_SEEDS = range(30)
+
+
+class TestTablesMatchDefinitions:
+    """The table forms of the checks return the (ok, witness) of the
+    nested definitions, failing first triple or pair included."""
+
+    @pytest.mark.parametrize("seed", TABLE_SEEDS)
+    def test_random_algebras_and_morphisms(self, seed):
+        dim = 2 + seed % 2
+        alg = random_even_algebra(seed, dim=dim, max_arity=3 + seed % 2)
+        other = random_even_algebra(seed + 100, dim=dim, max_arity=3)
+        phi = random_flat_morphism(seed, alg.ring, dim, dim, max_arity=3)
+        ident = identity_morphism(alg.ring, dim)
+        assert repr(check_associativity(alg)) == repr(ref_associativity(alg))
+        for m, target in ((phi, other), (phi, alg), (ident, alg)):
+            assert (repr(check_star_morphism(m, alg, target))
+                    == repr(ref_star_morphism(m, alg, target)))
+
+    def test_random_cases_include_failures(self):
+        outcomes = []
+        for seed in TABLE_SEEDS:
+            alg = random_even_algebra(seed, dim=2 + seed % 2,
+                                      max_arity=3 + seed % 2)
+            outcomes.append(check_associativity(alg)[0])
+        assert outcomes.count(False) >= 10
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_projective(self, k):
+        alg = small_quantum_projective(k)
+        assert check_associativity(alg) == ref_associativity(alg) \
+            == (True, None)
+        ident = identity_morphism(alg.ring, k)
+        assert check_star_morphism(ident, alg, alg) \
+            == ref_star_morphism(ident, alg, alg) == (True, None)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_isometry(self, seed):
+        r = SeriesRing(tvars=["t0", "t1"], t_cap=4)
+        pp = [(p, b, Fraction(len(b) + 1, sum(p) + 1))
+              for n in range(4)
+              for p in itertools.combinations_with_replacement(range(2), 2)
+              for b in itertools.combinations_with_replacement(range(2), n)]
+        tau_w = trace_from_terms(r, 2, [], pp_terms=pp)
+        phi = random_flat_morphism(seed, r, 2, 2, max_arity=3)
+        tau_v = pp_family_from(tau_w, phi, bulk_max=3)
+        for source in (tau_v, tau_w):
+            assert (repr(check_isometry(source, tau_w, phi))
+                    == repr(ref_isometry(source, tau_w, phi)))
+
+    def test_associativity_takes_dim_squared_products(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return star_product(*args)
+
+        monkeypatch.setattr(cohft, "star_product", counted)
+        assert check_associativity(small_quantum_projective(6)) == (True, None)
+        assert len(calls) == 36
 
 
 class TestMorphism:

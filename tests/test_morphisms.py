@@ -304,7 +304,7 @@ COLLAPSE_SHA256 = {
         "2d5f497b53a747674b57bf291d109f0661d917163e204df1525c5f76f9493a10",
 }
 FORGET_SHA256 = {
-    "m0": "5012daa1a18ba973783cc19ae86be01237db323ab4776072ca62551323e53588",
+    "m0": "789a0ae0a3b45df0f3b0c58c110fcb18bc37f4521f153354d11ac7f44a5862cf",
     "fm": "cd90fbf9857dca21c4ffcc7f9589dba317cbd99a4e485b2f6d8691a0b370f7aa",
     "mult": "b1b5699cc38ef60a912af72971f8b7a5919a6e3eeb96dc8fc67ea998e6d59ec5",
     "scaled":
@@ -313,7 +313,7 @@ FORGET_SHA256 = {
 RANDOM_SEED = 20261018
 RANDOM_PER_KIND = 300
 RANDOM_FORGET_SHA256 = (
-    "8c83cb3b772f40a76a0e18d6a16336aa0b3e500271726c779c15bc10895e0de6")
+    "38382b3224f1705233c2d7872b05f20e13231012fa9079076ed4955694a12db8")
 
 
 def _outcome(fn, describe):

@@ -5,13 +5,17 @@ Usage, from the root of a treelevel checkout holding the change:
 
     python3 tools/bench_pairs.py --parent 40b660b --pairs 10 --out BENCH_11.json
 
+``--workload NAME``, which may be repeated, limits the runs to the
+named workloads (default: all four), for example for a second round on
+one workload that read worse in the first.
+
 The change is the working tree.  Both sides are copied into fresh
 directories of the same path length under one temporary directory: the
 parent revision with ``git archive``, the change as the files ``git
 ls-files`` lists (tracked, and untracked but not ignored).  Where a
 checkout lies moves ``peak_rss_mb`` by up to 2% on its own, so neither
 side runs in place.  Each pair runs ``perfbench/run.py --trace 0`` once
-in each copy, for every workload, for the ``run_seconds`` that
+in each copy, for every chosen workload, for the ``run_seconds`` that
 ``BENCHMARK.json`` sets and with the same seed on both sides: the
 parent runs first in odd pairs and the change first in even ones.  For
 every end-to-end metric that ``BENCHMARK.json`` declares, the file
@@ -138,9 +142,14 @@ def main(argv=None):
                         help="git revision to compare the working tree with")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", required=True, metavar="FILE")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS,
+                        metavar="NAME",
+                        help="run only this workload (repeatable; "
+                             "default: all four)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    workloads = [w for w in WORKLOADS if w in (args.workload or WORKLOADS)]
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         benchmark = json.load(fh)
@@ -155,7 +164,7 @@ def main(argv=None):
     env = {"python": sys.version.split()[0], "platform": platform.platform(),
            "nproc": len(os.sched_getaffinity(0)),
            "loadavg_start": os.getloadavg()}
-    runs = {w: {"parent": [], "change": []} for w in WORKLOADS}
+    runs = {w: {"parent": [], "change": []} for w in workloads}
     started = time.time()
     with tempfile.TemporaryDirectory() as tmp:
         checkouts = {
@@ -169,7 +178,7 @@ def main(argv=None):
         for i in range(args.pairs):
             seed = FIRST_SEED + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            for workload in WORKLOADS:
+            for workload in workloads:
                 for side in order:
                     runs[workload][side].append(run_once(
                         checkouts[side], workload, seed, seconds))
@@ -181,18 +190,19 @@ def main(argv=None):
         "environment": env,
         "settings": {
             "pairs": args.pairs,
+            "workloads": workloads,
             "seeds": [FIRST_SEED + i for i in range(args.pairs)],
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0",
             "order": "parent first in odd pairs, change first in even pairs",
             "elapsed_s": round(time.time() - started, 1),
         },
-        "workloads": {w: summarize(runs[w], end_to_end) for w in WORKLOADS},
+        "workloads": {w: summarize(runs[w], end_to_end) for w in workloads},
     }
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for w in WORKLOADS:
+    for w in workloads:
         m = report["workloads"][w]["metrics"]["wall_s"]
         print(f"{w}: wall_s {m['parent']['median']:.4f} -> "
               f"{m['change']['median']:.4f} "
