@@ -116,6 +116,10 @@ class MarkedGraph:
         None.  The dicts pass to the graph and the caller must not keep
         them.  Nothing is checked here: :func:`require_valid` still runs
         the full :func:`validate` once.
+
+        The strata recursion builds each stratum this way, and every
+        morphism in :mod:`treelevel.morphisms` builds its result this
+        way from the fields of a valid input.
         """
         g = object.__new__(cls)
         genus = decorations if kind is Kind.MODULAR else {}
@@ -151,8 +155,10 @@ class MarkedGraph:
 
     def decorations(self):
         """A new dict of the vertex decorations, in the form the
-        constructor takes them."""
-        return dict(self.genus or self.color or dict.fromkeys(self.vertex_ids))
+        constructor takes them, keyed in ``vertex_ids`` order."""
+        out = dict.fromkeys(self.vertex_ids)
+        out.update(self.genus or self.color)
+        return out
 
     def legs_at(self, v):
         return sorted(l for l, w in self.legs.items() if w == v)

@@ -5,8 +5,13 @@ new graph; inputs are never mutated.  Collapses move one step up the
 degeneration order (one fewer edge, codimension drops by one), cutting
 splits a graph along an edge, and forgetting a tail removes a leg and
 stabilizes: the vertex that held it, while unstable, merges into a
-neighbor, which may be left unstable in turn.  Every rebuilt graph comes
-from one vertex-merge builder, :func:`_merge`.
+neighbor, which may be left unstable in turn.
+
+Every collapse and forget merges vertices through one builder,
+:func:`_merge`, which works on plain fields (decorations, edges, legs)
+and builds no graph.  The inputs are valid graphs, so each result is
+built once from its fields by :meth:`MarkedGraph._trusted`, with no
+second normalization, and then passes one full :func:`validate`.
 """
 
 from __future__ import annotations
@@ -34,24 +39,31 @@ from .graphs import (
 )
 
 
-def _merge(g, keep, absorbed, decoration, dropped_edge_indices):
-    """``g`` with the vertices ``absorbed`` merged into ``keep``, which
-    takes ``decoration``, and the edges at ``dropped_edge_indices``
-    removed.  Every other edge and leg keeps its place, with its ends
-    on ``absorbed`` renamed to ``keep``.  The result is not validated.
-    """
-    decor = g.decorations()
-    for v in absorbed:
-        del decor[v]
-    decor[keep] = decoration
+def _merge(decor, edges, legs, keep, absorbed, decoration, dropped):
+    """The fields of a graph with the vertices ``absorbed`` merged into
+    ``keep``, which takes ``decoration``, and the edges at the indices
+    ``dropped`` removed.
 
+    ``decor``, ``edges`` and ``legs`` are the decorations dict, edge
+    sequence and legs dict of a valid graph; new ones are returned.
+    Every other edge and leg keeps its place, with its ends on
+    ``absorbed`` renamed to ``keep``, and each edge is stored as
+    ``(min, max)``.  Vertex ids keep their increasing order, so the
+    fields suit :meth:`MarkedGraph._trusted`.  No graph is built and
+    nothing is validated here.
+    """
     def rename(v):
         return keep if v in absorbed else v
 
-    edges = [(rename(a), rename(b)) for i, (a, b) in enumerate(g.edges)
-             if i not in dropped_edge_indices]
-    legs = {l: rename(v) for l, v in g.legs.items()}
-    return MarkedGraph(g.kind, decor, edges, legs, g.root)
+    new_decor = {v: decoration if v == keep else d
+                 for v, d in decor.items() if v not in absorbed}
+    new_edges = []
+    for i, (a, b) in enumerate(edges):
+        if i not in dropped:
+            a, b = rename(a), rename(b)
+            new_edges.append((a, b) if a <= b else (b, a))
+    new_legs = {l: rename(v) for l, v in legs.items()}
+    return new_decor, new_edges, new_legs
 
 
 def collapse_edge(g, edge):
@@ -64,6 +76,7 @@ def collapse_edge(g, edge):
     if not 0 <= edge < len(g.edges):
         raise NoSuchEdge(f"edge index {edge}")
     a, b = g.edges[edge]
+    keep = g.root if g.root in (a, b) else min(a, b)
 
     if g.kind in COLORED_KINDS:
         ca, cb = g.color[a], g.color[b]
@@ -76,10 +89,13 @@ def collapse_edge(g, edge):
                 "cannot collapse an edge joining a colored vertex to an "
                 "infinite-scaling vertex")
     else:
-        merged_decor = None
+        # the kept vertex keeps its own decoration: genus 0, or None on
+        # a rooted forest
+        merged_decor = g.genus.get(keep)
 
-    keep = g.root if g.root in (a, b) else min(a, b)
-    out = _merge(g, keep, (b if keep == a else a,), merged_decor, (edge,))
+    out = MarkedGraph._trusted(g.kind, *_merge(
+        g.decorations(), g.edges, g.legs, keep, (b if keep == a else a,),
+        merged_decor, (edge,)), g.root)
     require_valid(out)
     return out
 
@@ -106,7 +122,9 @@ def collapse_with_relations(g, center):
     merged = colored_nbrs | {center}
     inside = {i for i, (x, y) in enumerate(g.edges)
               if x in merged and y in merged}
-    out = _merge(g, center, colored_nbrs, Color.COLORED, inside)
+    out = MarkedGraph._trusted(g.kind, *_merge(
+        g.decorations(), g.edges, g.legs, center, colored_nbrs,
+        Color.COLORED, inside), g.root)
     try:
         require_valid(out)
     except InvalidGraph as err:
@@ -140,7 +158,7 @@ def cut_edge(g, edge, new_labels):
     legs = dict(g.legs)
     legs[int(l1)] = a
     legs[int(l2)] = b
-    out = MarkedGraph(g.kind, g.decorations(), edges, legs, g.root)
+    out = MarkedGraph._trusted(g.kind, g.decorations(), edges, legs, g.root)
     require_valid(out)
     return out
 
@@ -168,26 +186,32 @@ def forget_tail(g, leg):
     if g.kind is Kind.COLORED_TREE and g.n - 1 < 1:
         raise MinimumMarkings("a scaled line needs at least one marking")
 
-    legs = dict(g.legs)
+    decor, edges, legs = g.decorations(), g.edges, dict(g.legs)
     v = legs.pop(leg)
-    cur = MarkedGraph(g.kind, g.decorations(), g.edges, legs, g.root)
-    while cur.valence(v) < min_valence(cur, v):
-        edges_at = [i for i, e in enumerate(cur.edges) if v in e]
-        if cur.color.get(v) is Color.COLORED:
-            merges = len(edges_at) == 1 and not cur.legs_at(v)
+    # valences follow the merges; colors and the root never change, so
+    # min_valence reads them off g
+    val = g.valences()
+    val[v] -= 1
+    while val[v] < min_valence(g, v):
+        edges_at = [i for i, e in enumerate(edges) if v in e]
+        n_legs = sum(u == v for u in legs.values())
+        if decor[v] is Color.COLORED:
+            merges = len(edges_at) == 1 and not n_legs
         else:
-            merges = (len(edges_at) == 2
-                      or len(edges_at) == 1 and len(cur.legs_at(v)) == 1)
+            merges = len(edges_at) == 2 or len(edges_at) == 1 and n_legs == 1
         if not merges:
             # no edge: a whole component fell below the minimum, such as
             # a colored vertex left with leg 0 alone
             raise MinimumMarkings(
                 f"component at vertex {v} cannot absorb its markings")
-        a, b = cur.edges[edges_at[0]]
+        a, b = edges[edges_at[0]]
         w = b if a == v else a
-        cur = _merge(cur, w, (v,), cur.color.get(w), (edges_at[0],))
+        decor, edges, legs = _merge(decor, edges, legs, w, (v,), decor[w],
+                                    (edges_at[0],))
+        val[w] += val.pop(v) - 2
         v = w
 
+    cur = MarkedGraph._trusted(g.kind, decor, edges, legs, g.root)
     if not is_stable(cur):
         raise InvalidGraph("stabilization failed to terminate on a stable type")
     return cur
@@ -203,7 +227,7 @@ def relabel_legs(g, mapping):
         new[nl] = v
     if g.kind in COLORED_KINDS and (0 in g.legs) != (0 in new):
         raise DuplicateLegLabel("relabeling must preserve the root leg 0")
-    out = MarkedGraph(g.kind, g.decorations(), g.edges, new, g.root)
+    out = MarkedGraph._trusted(g.kind, g.decorations(), g.edges, new, g.root)
     require_valid(out)
     return out
 

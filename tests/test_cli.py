@@ -227,6 +227,9 @@ class TestSelftestCommand:
                     if line.startswith(("PASS", "FAIL"))]
         assert len(verdicts) == 3
         assert all(re.search(r" \[\d+ ms\]$", line) for line in verdicts)
+        # the criterion's own detail carries no second time
+        first = next(line for line in verdicts if "criterion 1 " in line)
+        assert len(re.findall(r"\d(?:\.\d+)? ?m?s\b", first)) == 1
 
 
 class TestUsage:

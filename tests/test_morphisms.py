@@ -17,6 +17,7 @@ from treelevel.errors import (
     NotInfinityVertex,
     TreelevelError,
 )
+from treelevel import graphs
 from treelevel.graphs import (
     COLORED_KINDS,
     ROOTED_KINDS,
@@ -28,6 +29,8 @@ from treelevel.graphs import (
     is_isomorphic,
     is_stable,
     modular_graph,
+    require_valid,
+    rooted_forest,
     validate,
 )
 from treelevel.morphisms import (
@@ -404,3 +407,94 @@ def test_forget_on_random_stable_graphs_is_pinned():
     assert {g.kind for g in corpus if len(g.components()) > 1} == set(Kind)
     assert _digest([line for g in corpus for line in _forget_lines(g)]) \
         == RANDOM_FORGET_SHA256
+
+
+# -- trusted results -----------------------------------------------------------
+#
+# The morphisms build each result from merged fields with
+# MarkedGraph._trusted, so the fields must already be in the form the
+# normalizing constructor gives them.
+
+def _all_results(g):
+    """Every result of the morphisms on ``g``; calls that raise are
+    skipped."""
+    calls = [lambda leg=leg: forget_tail(g, leg) for leg in g.legs]
+    calls += [lambda i=i: collapse_edge(g, i) for i in range(len(g.edges))]
+    calls += [lambda v=v: collapse_with_relations(g, v)
+              for v in g.vertex_ids]
+    calls += [lambda i=i: cut_edge(g, i, (90, 91))
+              for i in range(len(g.edges))]
+    calls.append(lambda: compact_legs(g))
+    for call in calls:
+        try:
+            yield call()
+        except TreelevelError:
+            pass
+
+
+def _assert_normalized(h):
+    rebuilt = MarkedGraph(h.kind, h.decorations(), h.edges, dict(h.legs),
+                          h.root)
+    assert h == rebuilt and h.edges == rebuilt.edges, h
+    assert canonical_key(h) == canonical_key(rebuilt)
+    assert list(h.vertex_ids) == sorted(h.vertex_ids)
+    assert tuple(h.decorations()) == h.vertex_ids
+    assert all(a <= b for a, b in h.edges)
+
+
+class TestTrustedBuild:
+    @pytest.mark.parametrize("space", [M0(6), FM(4), MULT(4), SCALED(4)],
+                             ids=str)
+    def test_results_match_the_constructor(self, space):
+        count = 0
+        for g in enumerate_strata(space):
+            for h in _all_results(g):
+                _assert_normalized(h)
+                count += 1
+        assert count > len(enumerate_strata(space))
+
+    def test_forget_builds_no_graph_and_validates_once(self, monkeypatch):
+        g = max(enumerate_strata(MULT(5)), key=lambda s: len(s.edges))
+        require_valid(g)
+        # a leg whose forget merges vertices, so the loop runs
+        leg = next(l for l in sorted(g.legs) if l != 0
+                   and len(forget_tail(g, l).vertex_ids) < len(g.vertex_ids))
+        inits, checks = [], []
+        init, check = MarkedGraph.__init__, graphs.validate
+
+        def counting_init(self, *args, **kwargs):
+            inits.append(args)
+            init(self, *args, **kwargs)
+
+        def counting_validate(h):
+            checks.append(h)
+            return check(h)
+
+        monkeypatch.setattr(MarkedGraph, "__init__", counting_init)
+        monkeypatch.setattr(graphs, "validate", counting_validate)
+        out = forget_tail(g, leg)
+        assert inits == []
+        assert checks == [out]
+
+    def test_decorations_of_unsorted_input(self):
+        # vertex dicts given out of order; the kept vertex keeps its own
+        # decoration, genus 0 on a modular graph and None on a rooted
+        # forest.  The ids do not increase away from the root, so each
+        # merge renames an edge end past the other and the edge must be
+        # stored again as (min, max).
+        modular = modular_graph({3: 0, 1: 0, 2: 0, 0: 0},
+                                [(3, 1), (1, 2), (2, 0)],
+                                {1: 3, 2: 3, 3: 1, 4: 2, 5: 0, 6: 0})
+        forest = rooted_forest({3: None, 1: None, 2: None, 0: None},
+                               [(2, 0), (0, 1), (0, 3)],
+                               {1: 1, 2: 1, 3: 3, 4: 3}, root=2)
+        assert list(modular.decorations()) == [0, 1, 2, 3]
+        assert list(forest.decorations()) == [0, 1, 2, 3]
+        for g, edge, leg, expected in ((modular, 2, 3, 0),
+                                       (forest, 0, 1, None)):
+            assert is_stable(g)
+            for h in (collapse_edge(g, edge), forget_tail(g, leg)):
+                assert len(h.vertex_ids) == 3
+                assert list(h.decorations().values()) == [expected] * 3
+                assert validate(h) == []
+                _assert_normalized(h)

@@ -23,7 +23,10 @@ gives each side's runs, median and quartiles and the number of pairs
 the change won (ties count for neither side), together with the
 environment and both revisions.  The change's commit is recorded with
 a flag for uncommitted changes and a SHA-256 of the ``src`` files that
-were measured.
+were measured.  The closing summary on stdout has one line per workload
+and metric, with both medians, the change in percent and the change
+wins; a metric whose change median is worse than the parent's ends in
+``WORSE``.
 """
 
 from __future__ import annotations
@@ -136,6 +139,18 @@ def summarize(runs, end_to_end):
     return out
 
 
+def summary_line(workload, name, m):
+    """One line of the closing summary: the parent and change medians,
+    the change in percent and the change wins, flagged ``WORSE`` when
+    the change median is worse than the parent's."""
+    before, after = m["parent"]["median"], m["change"]["median"]
+    pct = f"{100 * (after - before) / before:+.1f}%" if before else "n/a"
+    worse = after > before if m["better"] == "lower" else after < before
+    return (f"{workload}: {name} {before:.4f} -> {after:.4f} {pct} "
+            f"({m['change_wins']}/{m['pairs']} change wins)"
+            + ("  WORSE" if worse else ""))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, metavar="REV",
@@ -203,10 +218,8 @@ def main(argv=None):
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     for w in workloads:
-        m = report["workloads"][w]["metrics"]["wall_s"]
-        print(f"{w}: wall_s {m['parent']['median']:.4f} -> "
-              f"{m['change']['median']:.4f} "
-              f"({m['change_wins']}/{m['pairs']} change wins)")
+        for name, m in report["workloads"][w]["metrics"].items():
+            print(summary_line(w, name, m))
     return 0
 
 
