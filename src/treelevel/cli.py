@@ -27,10 +27,6 @@ def _frac_str(x):
 
 
 _quote = json.encoder.encode_basestring_ascii
-# Encoders of the leaf types, looked up by exact type so that the
-# containers below encode their leaves without a recursive call.
-_LEAF = {str: _quote, int: int.__repr__,
-         bool: {True: "true", False: "false"}.get, type(None): lambda _: "null"}
 
 
 def _container(opening, items, closing, pad):
@@ -43,48 +39,19 @@ def _container(opening, items, closing, pad):
     return opening + inner + ("," + inner).join(items) + "\n" + pad + closing
 
 
-def _indented(obj, pad=""):
-    """``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` writes it,
-    for a value nested at the indentation ``pad``.
-
-    Accepts dicts with str keys, lists, str, int, bool and None, and
-    raises TypeError on anything else.  It builds strings directly, where
-    ``json.dumps`` with an indent runs its pure-Python encoder.
-    """
-    leaf = _LEAF.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        # a key that is not a str fails in sorted() or in _quote
-        return _container("{", [
-            _quote(k) + ": " + (_LEAF[type(v)](v) if type(v) in _LEAF
-                                else _indented(v, inner))
-            for k, v in sorted(obj.items())], "}", pad)
-    if isinstance(obj, list):
-        return _container("[", [
-            _LEAF[type(v)](v) if type(v) in _LEAF else _indented(v, inner)
-            for v in obj], "]", pad)
-    raise TypeError(
-        f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _write_json(obj, stream=None):
     """Print ``obj`` as ``print(json.dumps(obj, indent=2, sort_keys=True))``
-    would, item by item for the list under ``stream``.
+    does, item by item for the list under ``stream``.
 
     ``stream`` names a key that sorts after every key of ``obj`` and
-    maps to an iterable of items already encoded, each as
-    ``_indented(item, "    ")`` gives it; they are written as they come,
-    so neither the list nor the whole document is held.
+    maps to an iterable of items already encoded, as
+    :func:`_stratum_record` encodes them; they are written as they come,
+    so neither the list nor the whole document is held.  ``json.dumps``
+    writes everything else.
     """
     write = sys.stdout.write
     if stream is None:
-        write(_indented(obj) + "\n")
+        write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
         return
     head = dict(obj)
     items = head.pop(stream)
@@ -92,7 +59,8 @@ def _write_json(obj, stream=None):
         raise ValueError(f"{stream!r} must sort after every other key")
     write("{\n")
     for k in sorted(head):
-        write("  " + _quote(k) + ": " + _indented(head[k], "  ") + ",\n")
+        value = json.dumps(head[k], indent=2, sort_keys=True)
+        write("  " + _quote(k) + ": " + value.replace("\n", "\n  ") + ",\n")
     write("  " + _quote(stream) + ": ")
     sep = "[\n    "
     for item in items:
@@ -110,13 +78,14 @@ _COLOR_FIELD = {c: '"color": ' + _quote(c.value) for c in Color}
 
 
 def _stratum_record(g, dimension, codimension):
-    """The "strata" item of ``g`` as ``_write_json`` takes it: the text of
-    ``_indented({**g.to_json_obj(), "dimension": dimension,
-    "codimension": codimension}, "    ")``, written from the graph's
-    fields with no record dict.  The fields are in normal form, so only
-    the leg labels need sorting, as the strings they become."""
+    """The "strata" item of ``g`` as ``_write_json`` takes it: the text
+    ``json.dumps`` gives for ``{**g.to_json_obj(), "dimension": dimension,
+    "codimension": codimension}`` nested four spaces deep, written from
+    the graph's fields with no record dict.  The fields are in normal
+    form, so only the leg labels need sorting, as the strings they
+    become."""
     if g.kind is Kind.MODULAR:
-        verts = [_container("{", [f'"genus": {g.genus[v]}', f'"id": {v}'],
+        verts = [_container("{", ['"genus": 0', f'"id": {v}'],
                             "}", _VERTEX_PAD) for v in g.vertex_ids]
     elif g.kind in COLORED_KINDS:
         verts = [_container("{", [_COLOR_FIELD[g.color[v]], f'"id": {v}'],
@@ -304,7 +273,11 @@ def _cohft_inputs(args):
             v = [ring.zero()] * len(basis_v)
         else:
             v = cohft.generic_point(ring, len(basis_v))
-        pairs = [(i, j) for i, j in spec["pairs"]] if "pairs" in spec else None
+        pairs = None
+        if "pairs" in spec:
+            pairs = [(i, j) for i, j in spec["pairs"]]
+            for pair in pairs:
+                cohft._check_indices(pair, len(basis_v), "pair")
         return phi, alg_v, alg_w, v, pairs
     alg = cohft.algebra_from_terms(
         ring, tuple(spec["basis"]), _parse_terms(ring, spec["mu"]))

@@ -13,7 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import Disconnected, InvalidGraph, KindMismatch, NoColoredVertex
+from .errors import (
+    Disconnected,
+    InvalidGraph,
+    KindMismatch,
+    NoColoredVertex,
+    TooLarge,
+)
 from .graphs import (
     COLORED_KINDS,
     Color,
@@ -30,6 +36,14 @@ from .linalg import (
     primitive,
     smith_normal_form,
 )
+
+#: Upper guard on the edges of a graph whose cone is computed.  The time
+#: grows with about the fourth power of the edge count.  The slowest
+#: shape tried, a colored vertex carrying many zero bubbles, has a ray
+#: per edge and classifies in about a second at 56 edges; a star of 56
+#: colored leaves takes 0.03 s.  Strata reach at most 10 edges in
+#: mult(6) and 9 in scaled(5).
+MAX_CONE_EDGES = 56
 
 
 @dataclass(frozen=True)
@@ -62,7 +76,8 @@ def relation_lattice(g):
     The row for a colored vertex w is chi(base) - chi(w), where chi(v)
     is the indicator vector of the edges on the path from v to the
     root side; the common tail of the two paths cancels, leaving +1 on
-    the ascending half and -1 on the descending half.
+    the ascending half and -1 on the descending half.  Raises TooLarge
+    when ``g`` has more than :data:`MAX_CONE_EDGES` edges.
     """
     require_valid(g)
     if g.kind not in COLORED_KINDS:
@@ -74,8 +89,11 @@ def relation_lattice(g):
     colored = [v for v in g.vertex_ids if g.color[v] is Color.COLORED]
     if not colored:
         raise NoColoredVertex("no colored vertex")
-
     nedges = len(g.edges)
+    if nedges > MAX_CONE_EDGES:
+        raise TooLarge(f"the relation lattice would have {nedges} edge "
+                       f"columns, more than {MAX_CONE_EDGES}")
+
     edge_at = {}
     for i, (a, b) in enumerate(g.edges):
         edge_at[(a, b)] = i

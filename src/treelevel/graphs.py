@@ -11,18 +11,21 @@ and every path from a leg to leg 0 crosses the colored level exactly
 once.  A rooted colored tree is the type of a scaled parametrized
 curve, with a root vertex in place of leg 0.
 
-Values are immutable after construction: ``legs``, ``genus`` and
-``color`` are read-only mappings over dicts built in the constructor,
-and rebinding an attribute raises ``AttributeError``.  So a graph that
-passed :func:`validate` stays valid, and :func:`require_valid` runs the
-full check once per value, on its first call.  All operations here are
-pure.
+The constructor, the one way in, refuses a nonzero genus and any
+non-integer id, label or root, so a modular graph stores no genus.
+
+Values are immutable after construction: ``legs`` and ``color`` are
+read-only mappings over dicts built in the constructor, and rebinding an
+attribute raises ``AttributeError``.  So a graph that passed
+:func:`validate` stays valid, and :func:`require_valid` runs the full
+check once per value, on its first call.  All operations here are pure.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
+from operator import index
 from types import MappingProxyType
 
 from .errors import InvalidGraph, KindMismatch
@@ -45,13 +48,12 @@ COLORED_KINDS = (Kind.COLORED_TREE, Kind.ROOTED_COLORED_TREE)
 ROOTED_KINDS = (Kind.ROOTED_FOREST, Kind.ROOTED_COLORED_TREE)
 
 
-def _set_fields(g, kind, vertex_ids, genus, color, edges, legs, root):
+def _set_fields(g, kind, vertex_ids, color, edges, legs, root):
     """Store normalized fields on a new graph, the dicts behind read-only
     views."""
     init = object.__setattr__
     init(g, "kind", kind)
     init(g, "vertex_ids", vertex_ids)
-    init(g, "genus", MappingProxyType(genus))
     init(g, "color", MappingProxyType(color))
     init(g, "edges", edges)
     init(g, "legs", MappingProxyType(legs))
@@ -63,23 +65,23 @@ def _set_fields(g, kind, vertex_ids, genus, color, edges, legs, root):
 class MarkedGraph:
     """A graph with decorated vertices, finite edges and labelled legs.
 
-    ``vertices`` maps vertex id to its decoration: a genus (0 on a
-    valid graph) for the modular kind, a :class:`Color` for the colored
-    kinds, ``None`` for rooted forests.  ``edges`` is a sequence of
-    unordered vertex-id pairs; the given order is kept and edge indices
-    refer to it.
-    ``legs`` maps leg label to the vertex carrying it.
+    ``vertices`` maps vertex id to its decoration: genus 0 (or None)
+    for the modular kind, a :class:`Color` for the colored kinds,
+    ``None`` for rooted forests.  ``edges`` is a sequence of unordered
+    vertex-id pairs; the given order is kept and edge indices refer to
+    it.  ``legs`` maps leg label to the vertex carrying it.  Every
+    number goes through :func:`operator.index`, so a float raises
+    ``TypeError`` rather than being truncated.
 
-    ``legs``, ``genus`` and ``color`` are read-only mappings and no
-    attribute can be rebound after construction.
+    ``legs`` and ``color`` are read-only mappings and no attribute can be
+    rebound after construction.
     """
 
-    __slots__ = ("kind", "vertex_ids", "genus", "color", "edges", "legs",
-                 "root", "_valid")
+    __slots__ = ("kind", "vertex_ids", "color", "edges", "legs", "root",
+                 "_valid")
 
     def __init__(self, kind, vertices, edges=(), legs=None, root=None):
         kind = Kind(kind)
-        genus = {}
         color = {}
         ids = []
         if isinstance(vertices, dict):
@@ -87,22 +89,23 @@ class MarkedGraph:
         else:
             items = ((v, None) for v in vertices)
         for v, decor in items:
-            v = int(v)
+            v = index(v)
             ids.append(v)
             if kind is Kind.MODULAR:
-                genus[v] = 0 if decor is None else int(decor)
+                if decor is not None and index(decor) != 0:
+                    raise InvalidGraph(f"vertex {v} has genus {decor}, not 0")
             elif kind in COLORED_KINDS:
                 if decor is None:
                     raise InvalidGraph(f"vertex {v}: colored kinds need a color")
                 color[v] = Color(decor)
         if len(set(ids)) != len(ids):
             raise InvalidGraph("duplicate vertex ids")
+        ends = [(index(a), index(b)) for a, b in edges]
         _set_fields(
-            self, kind, tuple(sorted(ids)), genus, color,
-            tuple((int(a), int(b)) if int(a) <= int(b) else (int(b), int(a))
-                  for a, b in edges),
-            {int(l): int(v) for l, v in (legs or {}).items()},
-            None if root is None else int(root))
+            self, kind, tuple(sorted(ids)), color,
+            tuple((a, b) if a <= b else (b, a) for a, b in ends),
+            {index(l): index(v) for l, v in (legs or {}).items()},
+            None if root is None else index(root))
 
     @classmethod
     def _trusted(cls, kind, decorations, edges, legs, root):
@@ -110,22 +113,21 @@ class MarkedGraph:
         them, stored without a second pass.
 
         ``kind`` is a :class:`Kind`; ``decorations`` maps increasing int
-        vertex ids to what the kind keeps (genus, :class:`Color` or
-        None); ``edges`` holds int pairs ``(a, b)`` with ``a <= b``;
-        ``legs`` maps int labels to vertex ids; ``root`` is an id or
-        None.  The dicts pass to the graph and the caller must not keep
-        them.  Nothing is checked here: :func:`require_valid` still runs
-        the full :func:`validate` once.
+        vertex ids to their :class:`Color` on the colored kinds, and only
+        its keys are read on the others; ``edges`` holds int pairs
+        ``(a, b)`` with ``a <= b``; ``legs`` maps int labels to vertex
+        ids; ``root`` is an id or None.  The dicts pass to the graph and
+        the caller must not keep them.  Nothing is checked here:
+        :func:`require_valid` still runs the full :func:`validate` once.
 
         The strata recursion builds each stratum this way, and every
         morphism in :mod:`treelevel.morphisms` builds its result this
         way from the fields of a valid input.
         """
         g = object.__new__(cls)
-        genus = decorations if kind is Kind.MODULAR else {}
         color = decorations if kind in COLORED_KINDS else {}
-        _set_fields(g, kind, tuple(decorations), genus, color, tuple(edges),
-                    legs, root)
+        _set_fields(g, kind, tuple(decorations), color, tuple(edges), legs,
+                    root)
         return g
 
     def __setattr__(self, name, value):
@@ -155,9 +157,12 @@ class MarkedGraph:
 
     def decorations(self):
         """A new dict of the vertex decorations, in the form the
-        constructor takes them, keyed in ``vertex_ids`` order."""
-        out = dict.fromkeys(self.vertex_ids)
-        out.update(self.genus or self.color)
+        constructor takes them, keyed in ``vertex_ids`` order: genus 0
+        on the modular kind, the colors on the colored kinds and None on
+        rooted forests."""
+        out = dict.fromkeys(self.vertex_ids,
+                            0 if self.kind is Kind.MODULAR else None)
+        out.update(self.color)
         return out
 
     def legs_at(self, v):
@@ -242,7 +247,6 @@ class MarkedGraph:
         return (
             self.kind,
             self.vertex_ids,
-            tuple(sorted(self.genus.items())),
             tuple(sorted((v, c.value) for v, c in self.color.items())),
             tuple(sorted(self.edges)),
             tuple(sorted(self.legs.items())),
@@ -259,8 +263,6 @@ class MarkedGraph:
 
     def __repr__(self):
         parts = [f"{self.kind.value}", f"V={list(self.vertex_ids)}"]
-        if self.genus and any(self.genus.values()):
-            parts.append(f"g={dict(self.genus)}")
         if self.color:
             parts.append("colors={%s}" % ", ".join(
                 f"{v}:{c.value}" for v, c in sorted(self.color.items())))
@@ -277,7 +279,7 @@ class MarkedGraph:
         for v in self.vertex_ids:
             rec = {"id": v}
             if self.kind is Kind.MODULAR:
-                rec["genus"] = self.genus[v]
+                rec["genus"] = 0
             elif self.kind in COLORED_KINDS:
                 rec["color"] = self.color[v].value
             verts.append(rec)
@@ -336,7 +338,7 @@ class MarkedGraph:
         for v in self.vertex_ids:
             attrs = []
             if self.kind is Kind.MODULAR:
-                attrs.append(f'label="g={self.genus[v]}"')
+                attrs.append('label="g=0"')
                 attrs.append('fillcolor="gray92"')
             elif self.kind in COLORED_KINDS:
                 c = self.color[v]
@@ -494,10 +496,6 @@ def validate(g):
         elif g.root is not None:
             problems.append("only rooted kinds carry a root vertex")
 
-    for v, gen in g.genus.items():
-        if gen != 0:
-            problems.append(f"vertex {v} has genus {gen}, not 0")
-
     # every kind is a forest; one adjacency and one list of components
     # serve every check below
     adj = g.adjacency()
@@ -627,19 +625,17 @@ def is_stable(g):
 # nodes, so both build them with the helpers below.
 
 def _decoration(kind, value):
-    """Decoration code of a vertex: ``value`` is its genus (modular
-    kind), its Color (colored kinds) or whether it is the root (rooted
-    forests)."""
+    """Decoration code of a vertex: ``value`` is its Color (colored
+    kinds) or whether it is the root (rooted forests); every modular
+    vertex has genus 0 and the code ``("g", 0)``."""
     if kind is Kind.MODULAR:
-        return ("g", value)
+        return ("g", 0)
     if kind in COLORED_KINDS:
         return ("c", value.value)
     return ("r", 1 if value else 0)
 
 
 def _decor(g, v):
-    if g.kind is Kind.MODULAR:
-        return _decoration(g.kind, g.genus[v])
     if g.kind in COLORED_KINDS:
         return _decoration(g.kind, g.color[v])
     return _decoration(g.kind, v == g.root)

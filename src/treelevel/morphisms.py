@@ -77,6 +77,7 @@ def collapse_edge(g, edge):
         raise NoSuchEdge(f"edge index {edge}")
     a, b = g.edges[edge]
     keep = g.root if g.root in (a, b) else min(a, b)
+    decor = g.decorations()
 
     if g.kind in COLORED_KINDS:
         ca, cb = g.color[a], g.color[b]
@@ -91,10 +92,10 @@ def collapse_edge(g, edge):
     else:
         # the kept vertex keeps its own decoration: genus 0, or None on
         # a rooted forest
-        merged_decor = g.genus.get(keep)
+        merged_decor = decor[keep]
 
     out = MarkedGraph._trusted(g.kind, *_merge(
-        g.decorations(), g.edges, g.legs, keep, (b if keep == a else a,),
+        decor, g.edges, g.legs, keep, (b if keep == a else a,),
         merged_decor, (edge,)), g.root)
     require_valid(out)
     return out

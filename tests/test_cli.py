@@ -7,8 +7,18 @@ import time
 import pytest
 
 from treelevel.cli import MAX_ORDER, MAX_Q_CAP, MAX_Q_DENOMINATOR, main
+from treelevel.cones import MAX_CONE_EDGES
 from treelevel.graphs import MarkedGraph
 from treelevel.selftest import singular_cone_tree
+
+
+def star_morphism_spec(pair):
+    """A one-dimensional check-star-morphism spec checking ``pair``."""
+    return json.dumps({"basis_v": ["e"], "basis_w": ["e"],
+                       "mu_v": [{"inputs": [0, 0], "output": 0}],
+                       "mu_w": [{"inputs": [0, 0], "output": 0}],
+                       "phi": [{"inputs": [0], "output": 0}],
+                       "pairs": [pair]})
 
 
 def assert_one_line_error(capsys):
@@ -143,6 +153,19 @@ class TestConeCommand:
         assert time.perf_counter() - start < 1
         assert "19448 bases" in assert_one_line_error(capsys)
 
+    def test_oversized_graph_exits_two_at_once(self, tmp_path, capsys):
+        # an infinite vertex holding leg 0 over 640 colored leaves
+        colors = {0: "infinity", **dict.fromkeys(range(1, 641), "colored")}
+        path = tmp_path / "star.json"
+        path.write_text(MarkedGraph(
+            "colored_tree", colors, [(0, v) for v in range(1, 641)],
+            {l: l for l in range(641)}).to_json())
+        start = time.perf_counter()
+        assert main(["cone", "--graph", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert (f"640 edge columns, more than {MAX_CONE_EDGES}"
+                in assert_one_line_error(capsys))
+
 
 class TestDivisorsCommand:
     def test_verify_pullback_passes(self, capsys):
@@ -275,12 +298,22 @@ class TestUsage:
         json.dumps({"kind": "colored_tree",
                     "vertices": [{"id": 0, "color": "red"}],
                     "legs": {"0": 0}}),
-    ], ids=["not-json", "missing-color", "unknown-kind", "unknown-color"])
+        json.dumps({"kind": "colored_tree",
+                    "vertices": [{"id": 0.7, "color": "colored"}],
+                    "legs": {"0": 0, "1": 0}}),
+        json.dumps({"kind": "colored_tree",
+                    "vertices": [{"id": 0, "color": "colored"}],
+                    "legs": {"0": 0, "1": 0.5}}),
+        json.dumps({"kind": "modular", "vertices": [{"id": 0, "genus": 0.5}],
+                    "legs": {"1": 0, "2": 0, "3": 0}}),
+    ], ids=["not-json", "missing-color", "unknown-kind", "unknown-color",
+            "float-id", "float-leg", "fractional-genus"])
     def test_bad_graph_file_exits_two(self, text, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(text)
         assert main(["cone", "--graph", str(path)]) == 2
-        assert_one_line_error(capsys)
+        # refused as it is read, not later by the cone
+        assert "JSON" in assert_one_line_error(capsys)
 
     def test_genus_one_graph_exits_two(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -308,14 +341,14 @@ class TestUsage:
         ("solve-qde", json.dumps(
             {"basis": ["1", "xi"], "xi": 4,
              "mu": [{"inputs": [0, 0], "output": 0}]})),
-        ("check-star-morphism", json.dumps(
-            {"basis_v": ["e"], "basis_w": ["e"],
-             "mu_v": [{"inputs": [0, 0], "output": 0}],
-             "mu_w": [{"inputs": [0, 0], "output": 0}],
-             "phi": [{"inputs": [0], "output": 0}], "pairs": [[0, 3]]})),
+        ("check-star-morphism", star_morphism_spec([0, 3])),
+        ("check-star-morphism", star_morphism_spec(["a", 0])),
+        ("check-star-morphism", star_morphism_spec([0.5, 0])),
+        ("check-star-morphism", star_morphism_spec([[0], 0])),
     ], ids=["not-json", "missing-basis", "not-an-object", "bad-coeff",
             "output-range", "negative-input", "input-range",
-            "q-denominator", "xi-range", "pair-range"])
+            "q-denominator", "xi-range", "pair-range", "pair-str",
+            "pair-float", "pair-list"])
     def test_bad_cohft_spec_exits_two(self, command, text, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(text)

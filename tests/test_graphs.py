@@ -2,6 +2,7 @@ import copy
 import itertools
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -132,31 +133,35 @@ class TestValidate:
 
 
 # modular graphs that are no genus-zero forest, each otherwise stable,
-# with the problem validate reports
+# as the arguments of modular_graph, with the one problem reported: by
+# the constructor for a nonzero genus, by validate for a loop or cycle
 NOT_GENUS_ZERO_FORESTS = {
-    "genus-one": (modular_graph({0: 1, 1: 0}, [(0, 1)], {1: 0, 2: 1, 3: 1}),
+    "genus-one": (({0: 1, 1: 0}, [(0, 1)], {1: 0, 2: 1, 3: 1}),
                   "vertex 0 has genus 1, not 0"),
     "negative-genus": (
-        modular_graph({0: -1, 1: 0}, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1}),
+        ({0: -1, 1: 0}, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1}),
         "vertex 0 has genus -1, not 0"),
-    "loop": (modular_graph({0: 0, 1: 0}, [(0, 0), (0, 1)], {1: 1, 2: 1}),
+    "loop": (({0: 0, 1: 0}, [(0, 0), (0, 1)], {1: 1, 2: 1}),
              "tree kinds must be loop-free, multi-edge-free forests"),
     "parallel-edge": (
-        modular_graph({0: 0, 1: 0}, [(0, 1), (0, 1)],
-                      {1: 0, 2: 0, 3: 1, 4: 1}),
+        ({0: 0, 1: 0}, [(0, 1), (0, 1)], {1: 0, 2: 0, 3: 1, 4: 1}),
         "tree kinds must be loop-free, multi-edge-free forests"),
     "three-cycle": (
-        modular_graph({0: 0, 1: 0, 2: 0}, [(0, 1), (1, 2), (0, 2)],
-                      {1: 0, 2: 1, 3: 2}),
+        ({0: 0, 1: 0, 2: 0}, [(0, 1), (1, 2), (0, 2)], {1: 0, 2: 1, 3: 2}),
         "tree kinds must be loop-free, multi-edge-free forests"),
 }
+NONZERO_GENUS = ["genus-one", "negative-genus"]
 
 
 class TestGenusZeroBoundary:
     @pytest.mark.parametrize("name", sorted(NOT_GENUS_ZERO_FORESTS))
     def test_validate_reports_the_problem(self, name):
-        g, problem = NOT_GENUS_ZERO_FORESTS[name]
-        assert validate(g) == [problem]
+        # the whole message is the one problem: require_valid joins
+        # what validate reports, and a nonzero genus is reported as the
+        # graph is built
+        args, problem = NOT_GENUS_ZERO_FORESTS[name]
+        with pytest.raises(InvalidGraph, match=f"^{re.escape(problem)}$"):
+            require_valid(modular_graph(*args))
 
     @pytest.mark.parametrize("name", sorted(NOT_GENUS_ZERO_FORESTS))
     @pytest.mark.parametrize("operation", [
@@ -164,9 +169,26 @@ class TestGenusZeroBoundary:
         lambda g: forget_tail(g, 1),
     ], ids=["canonical_key", "is_stable", "collapse_edge", "forget_tail"])
     def test_operations_raise_invalid_graph(self, name, operation):
-        g, problem = NOT_GENUS_ZERO_FORESTS[name]
+        args, problem = NOT_GENUS_ZERO_FORESTS[name]
         with pytest.raises(InvalidGraph, match=problem):
-            operation(g)
+            operation(modular_graph(*args))
+
+    @pytest.mark.parametrize("name", NONZERO_GENUS)
+    def test_constructor_refuses_nonzero_genus(self, name):
+        (genus, edges, legs), problem = NOT_GENUS_ZERO_FORESTS[name]
+        with pytest.raises(InvalidGraph, match=problem):
+            modular_graph(genus, edges, legs)
+        obj = {"kind": "modular",
+               "vertices": [{"id": v, "genus": g} for v, g in genus.items()],
+               "edges": [list(e) for e in edges],
+               "legs": {str(l): v for l, v in legs.items()}}
+        with pytest.raises(InvalidGraph, match=problem):
+            MarkedGraph.from_json_obj(obj)
+        # the same graph of genus 0 is built, and stores no genus
+        obj["vertices"][0]["genus"] = 0
+        g = MarkedGraph.from_json_obj(obj)
+        assert g == modular_graph(dict.fromkeys(genus, 0), edges, legs)
+        assert not hasattr(g, "genus") and g.decorations()[0] == 0
 
 
 class TestStability:
@@ -191,14 +213,15 @@ class TestStability:
     @pytest.mark.parametrize("genus", range(4))
     def test_min_valence_is_modular_stability(self, genus):
         # a genus-0 vertex is stable from three special points on; any
-        # other genus is refused before stability is asked
+        # other genus is refused as the graph is built
         for k in range(6):
-            g = modular_graph({0: genus}, [], {l: 0 for l in range(1, k + 1)})
+            legs = {l: 0 for l in range(1, k + 1)}
             if genus:
-                assert validate(g) == [f"vertex 0 has genus {genus}, not 0"]
-                with pytest.raises(InvalidGraph):
-                    is_stable(g)
+                with pytest.raises(InvalidGraph,
+                                   match=f"vertex 0 has genus {genus}, not 0"):
+                    modular_graph({0: genus}, [], legs)
             else:
+                g = modular_graph({0: genus}, [], legs)
                 assert (k >= min_valence(g, 0)) == (k >= 3)
                 assert is_stable(g) == (k >= 3)
 
@@ -295,13 +318,8 @@ class TestCanonicalKey:
                 perm = list(g.vertex_ids)
                 rng.shuffle(perm)
                 f = dict(zip(g.vertex_ids, perm))
-                decor = ({f[v]: g.color[v] for v in g.vertex_ids}
-                         if g.color else
-                         ({f[v]: g.genus[v] for v in g.vertex_ids}
-                          if g.kind is Kind.MODULAR else
-                          [f[v] for v in g.vertex_ids]))
                 h = MarkedGraph(
-                    g.kind, decor,
+                    g.kind, {f[v]: d for v, d in g.decorations().items()},
                     [(f[a2], f[b2]) for a2, b2 in g.edges],
                     {l: f[v] for l, v in g.legs.items()},
                     None if g.root is None else f[g.root])
@@ -342,7 +360,7 @@ class TestModularCanonicalCompleteness:
 class TestSerialization:
     def test_json_round_trip(self):
         for g in (open_mult(2), sep_divisor(),
-                  modular_graph({0: 1}, [(0, 0)], {1: 0}),
+                  modular_graph({0: 0}, [(0, 0)], {1: 0}),
                   rooted_forest([0, 1], [(0, 1)], {1: 1, 2: 1}, root=0)):
             assert MarkedGraph.from_json(g.to_json()) == g
 
@@ -358,6 +376,14 @@ class TestSerialization:
         {"kind": "modular", "vertices": [{"id": 0}], "legs": [1]},
         {"kind": "rooted_forest", "vertices": [3]},
         {"kind": "modular", "vertices": [{"id": 0, "genus": 1e400}]},
+        # floats are refused, not truncated: a float id, a leg on a
+        # float vertex, a fractional genus
+        {"kind": "colored_tree", "vertices": [{"id": 0.7, "color": "colored"}],
+         "legs": {"0": 0, "1": 0}},
+        {"kind": "colored_tree", "vertices": [{"id": 0, "color": "colored"}],
+         "legs": {"0": 0, "1": 0.5}},
+        {"kind": "modular", "vertices": [{"id": 0, "genus": 0.5}],
+         "legs": {"1": 0, "2": 0, "3": 0}},
     ])
     def test_malformed_json_is_invalid_graph(self, obj):
         with pytest.raises(InvalidGraph):
@@ -410,8 +436,9 @@ class TestImmutability:
             g.legs[1] = 0
         with pytest.raises(TypeError):
             g.color[0] = Color.ZERO
-        with pytest.raises(TypeError):
-            modular_graph({0: 0}, [], {1: 0, 2: 0, 3: 0}).genus[0] = 1
+        # a modular graph has no genus mapping at all
+        with pytest.raises(AttributeError):
+            modular_graph({0: 0}, [], {1: 0, 2: 0, 3: 0}).genus
         assert g == sep_divisor()
 
     def test_constructor_copies_its_inputs(self):
@@ -423,12 +450,13 @@ class TestImmutability:
         assert g.color[0] is Color.COLORED and sorted(g.legs) == [0, 1]
 
     def test_repr_prints_plain_dicts(self):
-        text = repr(modular_graph({0: 1}, [(0, 0)], {1: 0}))
-        assert "legs={1: 0}" in text and "g={0: 1}" in text
+        text = repr(sep_divisor())
+        assert "legs={0: 0, 1: 1, 2: 2}" in text
+        assert "colors={0:infinity, 1:colored, 2:colored}" in text
         assert "mappingproxy" not in text
 
     def test_copy_and_pickle_round_trip(self):
-        for g in (sep_divisor(), modular_graph({0: 1}, [(0, 0)], {1: 0}),
+        for g in (sep_divisor(), modular_graph({0: 0}, [(0, 0)], {1: 0}),
                   rooted_forest([0, 1], [(0, 1)], {1: 1, 2: 1}, root=0)):
             for h in (copy.copy(g), copy.deepcopy(g),
                       pickle.loads(pickle.dumps(g))):
@@ -508,5 +536,5 @@ class TestValences:
             assert g.valences() == {v: g.valence(v) for v in g.vertex_ids}
 
     def test_loops_count_twice(self):
-        g = modular_graph({0: 1, 1: 0}, [(0, 0), (0, 1)], {1: 1, 2: 1})
+        g = modular_graph({0: 0, 1: 0}, [(0, 0), (0, 1)], {1: 1, 2: 1})
         assert g.valences() == {0: 3, 1: 3}

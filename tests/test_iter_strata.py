@@ -7,13 +7,14 @@ graph still passes one full ``validate`` and one ``is_stable``.  The
 tests hold these against ``stratum_dimension``, ``stratum_codimension``
 and the sum of the two, against the f-vector ``count_strata`` counts
 with no enumeration, and the record ``strata --json`` writes from the
-placed graph against the generic encoder on ``to_json_obj``.
+placed graph against ``json.dumps`` on ``to_json_obj``.
 """
 
 import collections
 import contextlib
 import hashlib
 import io
+import json
 import math
 import os
 import pickle
@@ -67,10 +68,10 @@ def test_iter_strata_yields_valid_stable_strata_in_order(space):
 
 
 def generic_record(g, space):
-    return cli._indented({**g.to_json_obj(),
-                          "dimension": stratum_dimension(g, space),
-                          "codimension": stratum_codimension(g, space)},
-                         "    ")
+    record = {**g.to_json_obj(),
+              "dimension": stratum_dimension(g, space),
+              "codimension": stratum_codimension(g, space)}
+    return json.dumps(record, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 @pytest.mark.parametrize("space", SPACES, ids=str)
@@ -97,8 +98,9 @@ def test_placed_strata_are_immutable_values(space):
         for name in ("kind", "edges", "legs", "root", "vertex_ids"):
             with pytest.raises(AttributeError):
                 setattr(g, name, None)
-        for field in (g.legs, g.color, g.genus):
+        for field in (g.legs, g.color):
             assert type(field) is MappingProxyType
+        assert not hasattr(g, "genus")
         with pytest.raises(TypeError):
             g.legs[99] = 0
         copy = pickle.loads(pickle.dumps(g))

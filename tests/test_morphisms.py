@@ -56,13 +56,13 @@ def sep_divisor():
 
 class TestCollapseEdge:
     def test_genus_adds(self):
-        # genus-0 vertices merge into a genus-0 vertex; a positive genus
-        # is refused before any merge
+        # genus-0 vertices merge into a genus-0 vertex; a graph of
+        # positive genus cannot be built, so it never reaches a merge
         g = modular_graph({0: 0, 1: 0}, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
         out = collapse_edge(g, 0)
-        assert dict(out.genus) == {0: 0} and not out.edges
-        with pytest.raises(InvalidGraph):
-            collapse_edge(modular_graph({0: 1, 1: 1}, [(0, 1)], {}), 0)
+        assert out.decorations() == {0: 0} and not out.edges
+        with pytest.raises(InvalidGraph, match="genus 1"):
+            modular_graph({0: 1, 1: 1}, [(0, 1)], {})
 
     def test_zero_zero_merge(self):
         g = colored_tree(
@@ -150,7 +150,7 @@ class TestCutEdge:
         g = modular_graph({0: 0, 1: 0}, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
         cut = cut_edge(g, 0, (5, 6))
         reglued = modular_graph(
-            dict(cut.genus),
+            cut.decorations(),
             list(cut.edges) + [(cut.legs[5], cut.legs[6])],
             {l: v for l, v in cut.legs.items() if l not in (5, 6)})
         assert canonical_key(reglued) == canonical_key(g)
@@ -188,9 +188,9 @@ class TestForgetTail:
             forget_tail(g, 3)
 
     def test_isolated_genus_one_component(self):
-        g = modular_graph({0: 1, 1: 0}, [], {1: 0, 2: 1, 3: 1, 4: 1})
+        # refused where it is built, before any forget
         with pytest.raises(InvalidGraph, match="genus 1"):
-            forget_tail(g, 1)
+            modular_graph({0: 1, 1: 0}, [], {1: 0, 2: 1, 3: 1, 4: 1})
 
     def test_colored_vertex_left_with_leg_zero(self):
         # the colored component keeps leg 0 alone once leg 2 goes, like
@@ -291,7 +291,8 @@ class TestMorphismInvariants:
 # with leg 0 alone, which now raise MinimumMarkings like a bare bubble
 # component.  A collapse is pinned by its repr, a forget by its
 # signature (edges sorted, so their order is free) and canonical key; an
-# error by its type and message.
+# error by its type and message.  Graphs no longer store a genus, so
+# _forgotten spells the pinned signature out from public fields.
 
 PINNED_SPACES = {
     "m0": [M0(n) for n in range(3, 7)],
@@ -327,7 +328,15 @@ def _outcome(fn, describe):
 
 
 def _forgotten(out):
-    return repr(out._signature()) + repr(canonical_key(out))
+    # the signature as it read when the digests were pinned: graphs then
+    # stored a genus, 0 on each modular vertex, in the third slot
+    genus = (tuple((v, 0) for v in out.vertex_ids)
+             if out.kind is Kind.MODULAR else ())
+    signature = (out.kind, out.vertex_ids, genus,
+                 tuple(sorted((v, c.value) for v, c in out.color.items())),
+                 tuple(sorted(out.edges)), tuple(sorted(out.legs.items())),
+                 out.root)
+    return repr(signature) + repr(canonical_key(out))
 
 
 def _collapse_lines(g):

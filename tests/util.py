@@ -15,8 +15,6 @@ def bijection_isomorphic(a, b):
         f = dict(zip(va, perm))
         if a.root is not None and f[a.root] != b.root:
             continue
-        if any(a.genus.get(v) != b.genus.get(f[v]) for v in va):
-            continue
         if any(a.color.get(v) != b.color.get(f[v]) for v in va):
             continue
         if any(f[a.legs[l]] != b.legs[l] for l in a.legs):
