@@ -17,8 +17,11 @@ non-integer id, label or root, so a modular graph stores no genus.
 Values are immutable after construction: ``legs`` and ``color`` are
 read-only mappings over dicts built in the constructor, and rebinding an
 attribute raises ``AttributeError``.  So a graph that passed
-:func:`validate` stays valid, and :func:`require_valid` runs the full
-check once per value, on its first call.  All operations here are pure.
+:func:`validate` stays valid, and :func:`require_valid` runs the check
+once per value, on its first call.  :func:`validate` decides a graph in
+one accepting pass when it is one tree that obeys every rule of its
+kind, and walks the full per-leg check only for the rest, to list their
+problems.  All operations here are pure.
 """
 
 from __future__ import annotations
@@ -67,9 +70,10 @@ class MarkedGraph:
 
     ``vertices`` maps vertex id to its decoration: genus 0 (or None)
     for the modular kind, a :class:`Color` for the colored kinds,
-    ``None`` for rooted forests.  ``edges`` is a sequence of unordered
-    vertex-id pairs; the given order is kept and edge indices refer to
-    it.  ``legs`` maps leg label to the vertex carrying it.  Every
+    ``None`` for rooted forests.  It is a dict, or a sequence of
+    ``(id, decoration)`` pairs or of bare ids; a repeated id is refused.
+    ``edges`` is a sequence of unordered vertex-id pairs; the given order
+    is kept and edge indices refer to it.  ``legs`` maps leg label to the vertex carrying it.  Every
     number goes through :func:`operator.index`, so a float raises
     ``TypeError`` rather than being truncated.
 
@@ -87,7 +91,8 @@ class MarkedGraph:
         if isinstance(vertices, dict):
             items = vertices.items()
         else:
-            items = ((v, None) for v in vertices)
+            items = (v if isinstance(v, tuple) else (v, None)
+                     for v in vertices)
         for v, decor in items:
             v = index(v)
             ids.append(v)
@@ -118,7 +123,7 @@ class MarkedGraph:
         ``(a, b)`` with ``a <= b``; ``legs`` maps int labels to vertex
         ids; ``root`` is an id or None.  The dicts pass to the graph and
         the caller must not keep them.  Nothing is checked here:
-        :func:`require_valid` still runs the full :func:`validate` once.
+        :func:`require_valid` still runs :func:`validate` once.
 
         The strata recursion builds each stratum this way, and every
         morphism in :mod:`treelevel.morphisms` builds its result this
@@ -301,14 +306,16 @@ class MarkedGraph:
         """Parse the JSON form; any malformed input raises InvalidGraph."""
         try:
             kind = Kind(obj["kind"])
-            verts = {}
+            # a list, not a dict, so that a repeated id reaches the
+            # constructor's duplicate check
+            verts = []
             for rec in obj["vertices"]:
                 if kind is Kind.MODULAR:
-                    verts[rec["id"]] = rec.get("genus", 0)
+                    verts.append((rec["id"], rec.get("genus", 0)))
                 elif kind in COLORED_KINDS:
-                    verts[rec["id"]] = rec["color"]
+                    verts.append((rec["id"], rec["color"]))
                 else:
-                    verts[rec["id"]] = None
+                    verts.append((rec["id"], None))
             return cls(
                 kind,
                 verts,
@@ -471,11 +478,92 @@ def _uniform_zero_or_infinite(g, comp):
             and all(g.color[v] is first for v in comp))
 
 
+def _accepts(g):
+    """True only when ``g`` is one tree that satisfies every rule of its
+    kind, decided in one depth-first pass.
+
+    The pass checks the references (no negative leg label), the leg-0
+    and root rules, that the ``|V| - 1`` edges reach every vertex from
+    the top (leg 0's vertex, else the root, else the first vertex) and,
+    on the colored kinds, the scaling pattern read downward from the
+    top: infinite vertices have infinite or colored children, colored
+    and zero vertices have zero children, and only the infinite root of
+    a rooted colored tree may also have zero children.  The top is not
+    zero scaling and no leg but 0 sits on an infinite vertex.  So every
+    path from a leg up to the top crosses one colored vertex, with zero
+    scaling below it and infinite scaling above, and no edge joins zero
+    to infinite or colored to colored scaling.
+
+    This is stricter than :func:`validate`: a disconnected forest, or an
+    infinite vertex below a colored one, is refused here and left to
+    the full check.
+    """
+    ids, edges, legs, root = g.vertex_ids, g.edges, g.legs, g.root
+    if (len(edges) != len(ids) - 1
+            or (root is not None) != (g.kind in ROOTED_KINDS)
+            or (0 in legs) != (g.kind is Kind.COLORED_TREE)):
+        return False
+    adj = {v: [] for v in ids}
+    try:
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+    except KeyError:
+        return False
+    if root is not None and root not in adj:
+        return False
+    for l, v in legs.items():
+        if l < 0 or v not in adj:
+            return False
+    top = legs[0] if 0 in legs else ids[0] if root is None else root
+    seen = {top}
+    stack = [top]
+    if g.kind not in COLORED_KINDS:
+        while stack:
+            for x in adj[stack.pop()]:
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        return len(seen) == len(ids)
+
+    color = g.color
+    inf, zero = Color.INFINITY, Color.ZERO
+    if color[top] is zero:
+        return False
+    for l, v in legs.items():
+        if l and color[v] is inf:
+            return False
+    while stack:
+        w = stack.pop()
+        # a finite parent has only zero children, an infinite one only
+        # infinite or colored children, but for the infinite root
+        finite = color[w] is not inf
+        any_below = w == root and not finite
+        for x in adj[w]:
+            if x not in seen:
+                if (color[x] is zero) is not finite and not any_below:
+                    return False
+                seen.add(x)
+                stack.append(x)
+    return len(seen) == len(ids)
+
+
 def validate(g):
     """Return the list of violated invariants (empty when the graph is valid).
 
-    Always the full check; :func:`require_valid` runs it once per value.
+    One accepting pass, :func:`_accepts`, decides the graphs that are one
+    tree obeying every rule of their kind, and returns ``[]`` for them.
+    Every other graph goes through the full per-leg check below, which
+    lists its problems.  :func:`require_valid` runs this once per value.
     """
+    if _accepts(g):
+        return []
+    return _problems(g)
+
+
+def _problems(g):
+    """The full check behind :func:`validate`: every problem of ``g``,
+    with the colored kinds' paths walked leg by leg."""
     problems = []
     _check_references(g, problems)
     if problems:
@@ -581,7 +669,8 @@ def _subtree_vertices(root, child, adj):
 def require_valid(g):
     """Raise InvalidGraph unless ``g`` is valid.
 
-    The full :func:`validate` runs on the first call for a value; a
+    :func:`validate` runs on the first call for a value: its accepting
+    pass, and the full per-leg check only when that pass refuses.  A
     graph cannot change, so a success is recorded on it and later calls
     return at once.  An invalid graph is checked again on every call.
     """
@@ -607,11 +696,13 @@ def min_valence(g, v):
     return 3
 
 
-def is_stable(g):
+def is_stable(g, valences=None):
     """Stability of the combinatorial type: every vertex reaches its
-    :func:`min_valence`."""
+    :func:`min_valence`.  ``valences``, when given, is ``g.valences()``,
+    already counted by the caller."""
     require_valid(g)
-    valences = g.valences()
+    if valences is None:
+        valences = g.valences()
     return all(valences[v] >= min_valence(g, v) for v in g.vertex_ids)
 
 

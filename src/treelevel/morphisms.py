@@ -11,16 +11,19 @@ Every collapse and forget merges vertices through one builder,
 :func:`_merge`, which works on plain fields (decorations, edges, legs)
 and builds no graph.  The inputs are valid graphs, so each result is
 built once from its fields by :meth:`MarkedGraph._trusted`, with no
-second normalization, and then passes one full :func:`validate`.
+second normalization, and then passes one :func:`validate`.
 """
 
 from __future__ import annotations
+
+from operator import index
 
 from .errors import (
     CannotForgetRoot,
     DuplicateLegLabel,
     ForbiddenCollapse,
     ForbiddenCut,
+    InvalidArgument,
     InvalidGraph,
     MinimumMarkings,
     NoSuchEdge,
@@ -37,6 +40,15 @@ from .graphs import (
     min_valence,
     require_valid,
 )
+
+
+def _label(l):
+    """A new leg label as an int; a float or any other non-integer is
+    refused, not truncated."""
+    try:
+        return index(l)
+    except TypeError:
+        raise InvalidArgument(f"leg label {l!r} is not an integer") from None
 
 
 def _merge(decor, edges, legs, keep, absorbed, decoration, dropped):
@@ -144,7 +156,7 @@ def cut_edge(g, edge, new_labels):
     require_valid(g)
     if not 0 <= edge < len(g.edges):
         raise NoSuchEdge(f"edge index {edge}")
-    l1, l2 = new_labels
+    l1, l2 = (_label(l) for l in new_labels)
     if l1 == l2 or l1 in g.legs or l2 in g.legs:
         raise DuplicateLegLabel(f"labels {new_labels} collide")
     a, b = g.edges[edge]
@@ -157,8 +169,8 @@ def cut_edge(g, edge, new_labels):
                 "full transversal")
     edges = [e for i, e in enumerate(g.edges) if i != edge]
     legs = dict(g.legs)
-    legs[int(l1)] = a
-    legs[int(l2)] = b
+    legs[l1] = a
+    legs[l2] = b
     out = MarkedGraph._trusted(g.kind, g.decorations(), edges, legs, g.root)
     require_valid(out)
     return out
@@ -179,7 +191,11 @@ def forget_tail(g, leg):
         raise NoSuchLeg(f"no leg {leg}")
     if g.kind in COLORED_KINDS and leg == 0:
         raise CannotForgetRoot("leg 0 cannot be forgotten")
-    if not is_stable(g):
+    # the input's valences, counted once for its stability check and
+    # the merges below
+    require_valid(g)
+    val = g.valences()
+    if not is_stable(g, val):
         raise InvalidGraph("forget_tail needs a stable input")
 
     if g.kind is Kind.MODULAR and g.is_connected() and g.n - 1 < 3:
@@ -191,7 +207,6 @@ def forget_tail(g, leg):
     v = legs.pop(leg)
     # valences follow the merges; colors and the root never change, so
     # min_valence reads them off g
-    val = g.valences()
     val[v] -= 1
     while val[v] < min_valence(g, v):
         edges_at = [i for i, e in enumerate(edges) if v in e]
@@ -222,7 +237,7 @@ def relabel_legs(g, mapping):
     """Rename legs through ``mapping`` (missing labels stay put)."""
     new = {}
     for l, v in g.legs.items():
-        nl = int(mapping.get(l, l))
+        nl = _label(mapping.get(l, l))
         if nl in new:
             raise DuplicateLegLabel(f"label {nl} assigned twice")
         new[nl] = v

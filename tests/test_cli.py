@@ -290,30 +290,34 @@ class TestUsage:
         assert main(["selftest", "--criteria", criteria]) == 2
         assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("text", [
-        "{bad",
-        json.dumps({"kind": "colored_tree", "vertices": [{"id": 0}],
-                    "legs": {"0": 0}}),
-        json.dumps({"kind": "weird", "vertices": []}),
-        json.dumps({"kind": "colored_tree",
-                    "vertices": [{"id": 0, "color": "red"}],
-                    "legs": {"0": 0}}),
-        json.dumps({"kind": "colored_tree",
-                    "vertices": [{"id": 0.7, "color": "colored"}],
-                    "legs": {"0": 0, "1": 0}}),
-        json.dumps({"kind": "colored_tree",
-                    "vertices": [{"id": 0, "color": "colored"}],
-                    "legs": {"0": 0, "1": 0.5}}),
-        json.dumps({"kind": "modular", "vertices": [{"id": 0, "genus": 0.5}],
-                    "legs": {"1": 0, "2": 0, "3": 0}}),
+    @pytest.mark.parametrize("text, fragment", [
+        ("{bad", "JSON"),
+        (json.dumps({"kind": "colored_tree", "vertices": [{"id": 0}],
+                     "legs": {"0": 0}}), "JSON"),
+        (json.dumps({"kind": "weird", "vertices": []}), "JSON"),
+        (json.dumps({"kind": "colored_tree",
+                     "vertices": [{"id": 0, "color": "red"}],
+                     "legs": {"0": 0}}), "JSON"),
+        (json.dumps({"kind": "colored_tree",
+                     "vertices": [{"id": 0.7, "color": "colored"}],
+                     "legs": {"0": 0, "1": 0}}), "JSON"),
+        (json.dumps({"kind": "colored_tree",
+                     "vertices": [{"id": 0, "color": "colored"}],
+                     "legs": {"0": 0, "1": 0.5}}), "JSON"),
+        (json.dumps({"kind": "modular", "vertices": [{"id": 0, "genus": 0.5}],
+                     "legs": {"1": 0, "2": 0, "3": 0}}), "JSON"),
+        (json.dumps({"kind": "colored_tree",
+                     "vertices": [{"id": 0, "color": "zero"},
+                                  {"id": 0, "color": "colored"}],
+                     "legs": {"0": 0, "1": 0}}), "duplicate vertex ids"),
     ], ids=["not-json", "missing-color", "unknown-kind", "unknown-color",
-            "float-id", "float-leg", "fractional-genus"])
-    def test_bad_graph_file_exits_two(self, text, tmp_path, capsys):
+            "float-id", "float-leg", "fractional-genus", "repeated-id"])
+    def test_bad_graph_file_exits_two(self, text, fragment, tmp_path, capsys):
         path = tmp_path / "g.json"
         path.write_text(text)
         assert main(["cone", "--graph", str(path)]) == 2
         # refused as it is read, not later by the cone
-        assert "JSON" in assert_one_line_error(capsys)
+        assert fragment in assert_one_line_error(capsys)
 
     def test_genus_one_graph_exits_two(self, tmp_path, capsys):
         path = tmp_path / "g.json"

@@ -384,6 +384,10 @@ class TestSerialization:
          "legs": {"0": 0, "1": 0.5}},
         {"kind": "modular", "vertices": [{"id": 0, "genus": 0.5}],
          "legs": {"1": 0, "2": 0, "3": 0}},
+        # a repeated id is refused, not merged into the later record
+        {"kind": "colored_tree", "vertices": [{"id": 0, "color": "zero"},
+                                              {"id": 0, "color": "colored"}],
+         "legs": {"0": 0, "1": 0}},
     ])
     def test_malformed_json_is_invalid_graph(self, obj):
         with pytest.raises(InvalidGraph):

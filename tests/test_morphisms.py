@@ -9,6 +9,7 @@ from treelevel.errors import (
     DuplicateLegLabel,
     ForbiddenCollapse,
     ForbiddenCut,
+    InvalidArgument,
     InvalidGraph,
     MinimumMarkings,
     NoSuchEdge,
@@ -145,6 +146,14 @@ class TestCutEdge:
         with pytest.raises(DuplicateLegLabel):
             cut_edge(g, 0, (4, 5))
 
+    @pytest.mark.parametrize("labels", [(5.7, 6), (5, 6.0), ("5", 6)])
+    def test_non_integer_label_refused(self, labels):
+        # refused, not truncated to leg 5
+        g = modular_graph({0: 0, 1: 0}, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
+        bad = next(l for l in labels if not isinstance(l, int))
+        with pytest.raises(InvalidArgument, match=f"leg label {bad!r}"):
+            cut_edge(g, 0, labels)
+
     def test_round_trip_identity(self):
         # cutting then regluing the produced legs is the identity
         g = modular_graph({0: 0, 1: 0}, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1})
@@ -223,6 +232,12 @@ class TestForgetTail:
     def test_relabel_collision(self):
         with pytest.raises(DuplicateLegLabel):
             relabel_legs(open_mult(2), {1: 2})
+
+    @pytest.mark.parametrize("label", [9.9, 9.0, "9"])
+    def test_relabel_non_integer_label_refused(self, label):
+        # refused, not truncated to leg 9
+        with pytest.raises(InvalidArgument, match=f"leg label {label!r}"):
+            relabel_legs(open_mult(2), {1: label})
 
 
 def _legal_outputs(g):

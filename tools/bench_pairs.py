@@ -7,7 +7,9 @@ Usage, from the root of a treelevel checkout holding the change:
 
 ``--workload NAME``, which may be repeated, limits the runs to the
 named workloads (default: all four), for example for a second round on
-one workload that read worse in the first.
+one workload that read worse in the first.  ``--first-seed N`` (default
+9101) seeds pair i with N + i, so a second round can sample seeds the
+first did not; the seeds used are recorded in ``settings.seeds``.
 
 The change is the working tree.  Both sides are copied into fresh
 directories of the same path length under one temporary directory: the
@@ -45,7 +47,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCHEMA = "treelevel-bench-pairs/1"
 WORKLOADS = ("enumerate", "degenerate", "cones", "calculus")
-# pair i runs both sides with seed FIRST_SEED + i
+# pair i runs both sides with seed --first-seed + i
 FIRST_SEED = 9101
 
 
@@ -161,6 +163,10 @@ def main(argv=None):
                         metavar="NAME",
                         help="run only this workload (repeatable; "
                              "default: all four)")
+    parser.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                        metavar="N",
+                        help=f"seed of the first pair; pair i uses N + i "
+                             f"(default: {FIRST_SEED})")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -191,7 +197,7 @@ def main(argv=None):
         for side, checkout in checkouts.items():
             revisions[side]["src_sha256"] = src_digest(checkout)
         for i in range(args.pairs):
-            seed = FIRST_SEED + i
+            seed = args.first_seed + i
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for workload in workloads:
                 for side in order:
@@ -206,7 +212,7 @@ def main(argv=None):
         "settings": {
             "pairs": args.pairs,
             "workloads": workloads,
-            "seeds": [FIRST_SEED + i for i in range(args.pairs)],
+            "seeds": [args.first_seed + i for i in range(args.pairs)],
             "command": "python3 perfbench/run.py --workload W --seed S "
                        f"--seconds {seconds:g} --trace 0",
             "order": "parent first in odd pairs, change first in even pairs",
