@@ -148,9 +148,10 @@ def _candidates(space, parents):
         root = 0 if kind is Kind.ROOTED_FOREST else None
         minima = {x: 0 if x == root else max(0, 3 - deg[x]) for x in range(v)}
         slots = list(range(v))
+        decor = dict.fromkeys(slots)
         for counts in _count_vectors(slots, minima, n):
             for assign in _label_assignments(slots, counts, labels):
-                yield MarkedGraph(kind, range(v), edges, assign, root)
+                yield MarkedGraph(kind, decor, edges, assign, root)
         return
 
     has_root_leg = kind is Kind.COLORED_TREE

@@ -252,7 +252,7 @@ def _cohft_inputs(args):
         tvars=spec.get("tvars") or [f"t{i}" for i in
                                     range(len(spec.get("basis_v",
                                                        spec.get("basis", []))))],
-        q_denominator=_at_most(int(spec.get("q_denominator", 1)),
+        q_denominator=_at_most(spec.get("q_denominator", 1),
                                "q_denominator", MAX_Q_DENOMINATOR),
         t_cap=_at_most(order, "order", MAX_ORDER),
         q_cap=_nonnegative(Fraction(str(spec.get("q_cap", 0))), "q_cap"),

@@ -558,34 +558,33 @@ def check_isometry(tau_v, tau_w, phi, v=None):
 
 
 # -- quantum differential equation -------------------------------------------
+#
+# The solver's matrices are square lists of rows whose entries map powers
+# of hbar^-1 to nonzero Fractions: a scalar c is {0: c}, zero is {}.
 
-def _mat_mul_scalar(a, b):
-    k = len(a)
-    return [[sum(a[i][m] * b[m][j] for m in range(k)) for j in range(k)]
-            for i in range(k)]
-
-
-def _poly_mat_combine(a, b, left=True):
-    """Multiply a Fraction matrix into a matrix of hbar-inverse polys.
-
-    ``left`` selects which factor is the scalar matrix: a*b with a
-    scalar when True, with b scalar when False.
-    """
-    k = len(a)
-    out = [[{} for _ in range(k)] for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            acc = out[i][j]
-            for m in range(k):
-                if left:
-                    c, poly = a[i][m], b[m][j]
-                else:
-                    poly, c = a[i][m], b[m][j]
-                if c == 0:
-                    continue
-                for h, x in poly.items():
-                    acc[h] = acc.get(h, Fraction(0)) + c * x
+def _mat_mul(a, b):
+    """The product a b, a convolution over the hbar powers."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = {}
+            for x, y in zip(row, col):
+                if x and y:
+                    for h1, c1 in x.items():
+                        for h2, c2 in y.items():
+                            acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
+            out_row.append({h: c for h, c in acc.items() if c})
+        out.append(out_row)
     return out
+
+
+def _mat_add(a, b, sign=1):
+    """a + sign b."""
+    return [[{h: c for h in x.keys() | y.keys()
+              if (c := x.get(h, 0) + sign * y.get(h, 0))}
+             for x, y in zip(a_row, b_row)] for a_row, b_row in zip(a, b)]
 
 
 @dataclass
@@ -640,33 +639,31 @@ def _shift_h(s, delta):
 
 
 def _xi_star_matrix(alg, xi, ring):
+    """The matrix of xi* at the basepoint, moved into the solver ring."""
     cols = [star_product(alg, [ring.zero()] * alg.dim, xi, j)
             for j in range(alg.dim)]
-    # series live in alg.ring; move them into the solver ring
-    out = [[ring.zero() for _ in range(alg.dim)] for _ in range(alg.dim)]
-    for j, col in enumerate(cols):
-        for i, entry in enumerate(col):
-            acc = ring.zero()
-            for (texp, qnum, hpow), c in entry.coeffs.items():
-                if any(texp) or hpow:
-                    raise DegenerateQDE(
-                        "the product at the basepoint must be constant")
-                scaled = qnum * ring.q_denominator // alg.ring.q_denominator
-                if scaled > ring.q_cap_num:
-                    continue  # the solver only sees terms through its cap
-                acc = acc + Series(ring, {((), scaled, 0): c})
-            out[i][j] = acc
-    return out
+    if any(any(texp) or hpow
+           for col in cols for entry in col for texp, _, hpow in entry.coeffs):
+        raise DegenerateQDE("the product at the basepoint must be constant")
+    # the solver only sees terms through its cap
+    return [[Series(ring, {((), qnum, 0): c
+                           for (_, qnum, _), c in col[i].coeffs.items()
+                           if qnum <= ring.q_cap_num})
+             for col in cols] for i in range(alg.dim)]
 
 
 def solve_qde(alg, xi=1, q_cap=3):
     """Solve the small quantum differential equation order by order in q.
 
     The product operator xi* splits into its classical q^0 part A0 plus
-    positive q-degree corrections; the recursion inverts
-    (hbar k - ad_A0), which requires A0 nilpotent (a q^0 quantum term
-    raises DegenerateQDE).  Returns the matrix solution with identity
-    leading term; its residual in the solved gauge is exactly zero.
+    parts A_d of positive q-degree d/denom.  Order k inverts
+    (hbar k/denom - ad_A0) on sum_d A_d sigma_(k-d), which requires A0
+    nilpotent (a q^0 quantum term raises DegenerateQDE): with
+    B = (denom/k) hbar^-1 A, sigma_k is the sum over j >= 0 of
+    ad_B0^j(sum_d B_d sigma_(k-d)).  Every matrix step is one
+    :func:`_mat_mul` or :func:`_mat_add` over exact hbar^-1
+    polynomials.  Returns the matrix solution with identity leading
+    term; its residual in the solved gauge is exactly zero.
     """
     dim = alg.dim
     denom = alg.ring.q_denominator
@@ -674,80 +671,49 @@ def solve_qde(alg, xi=1, q_cap=3):
     ring = SeriesRing(tvars=(), q_denominator=denom, t_cap=0,
                       q_cap=q_cap, h_cap=qnum_cap * (dim + 1) + 2)
 
-    m = _xi_star_matrix(alg, xi, ring)
-    # split by q exponent numerator
-    a_parts = {}
-    for i in range(dim):
-        for j in range(dim):
-            for (_, qnum, _), c in m[i][j].coeffs.items():
-                part = a_parts.setdefault(
-                    qnum, [[Fraction(0)] * dim for _ in range(dim)])
-                part[i][j] += c
-    a0 = a_parts.get(0, [[Fraction(0)] * dim for _ in range(dim)])
+    def zero():
+        return [[{} for _ in range(dim)] for _ in range(dim)]
 
-    power = [row[:] for row in a0]
+    # A_d by q exponent numerator d
+    parts = {0: zero()}
+    for i, row in enumerate(_xi_star_matrix(alg, xi, ring)):
+        for j, entry in enumerate(row):
+            for (_, d, _), c in entry.coeffs.items():
+                parts.setdefault(d, zero())[i][j][0] = c
+    a0 = parts[0]
+
+    power = a0
     for _ in range(dim):
-        power = _mat_mul_scalar(power, a0)
-    if any(x != 0 for row in power for x in row):
+        power = _mat_mul(power, a0)
+    if any(map(any, power)):
         raise DegenerateQDE("classical part of the product is not nilpotent")
 
-    def ad(x):
-        left = _poly_mat_combine(a0, x, left=True)
-        right = _poly_mat_combine(x, a0, left=False)
-        return [[{h: left[i][j].get(h, Fraction(0)) - right[i][j].get(h, Fraction(0))
-                  for h in set(left[i][j]) | set(right[i][j])}
-                 for j in range(dim)] for i in range(dim)]
-
-    # sigma_k as matrices of {hbar_power: Fraction}
     sigma = {0: [[{0: Fraction(1)} if i == j else {} for j in range(dim)]
                  for i in range(dim)]}
-    # the q degrees d > 0 of the nonzero parts; sigma[k] is zero unless
-    # some sigma[k - d] is not
-    steps = [d for d, a_d in a_parts.items() if d > 0 and any(map(any, a_d))]
     for k in range(1, qnum_cap + 1):
-        if not any(k - d in sigma for d in steps):
-            continue
-        rhs = [[{} for _ in range(dim)] for _ in range(dim)]
-        for d in steps:
-            if k - d not in sigma:
-                continue
-            contrib = _poly_mat_combine(a_parts[d], sigma[k - d], left=True)
-            for i in range(dim):
-                for j in range(dim):
-                    for h, c in contrib[i][j].items():
-                        rhs[i][j][h] = rhs[i][j].get(h, Fraction(0)) + c
-        # invert (hbar k/denom - ad_A0): sum_j ad^j(rhs) (denom/k)^{j+1} hbar^{-(j+1)}
         rate = Fraction(denom, k)
-        term = rhs
-        sk = [[{} for _ in range(dim)] for _ in range(dim)]
+        b = {d: [[{1: e[0] * rate} if e else {} for e in row] for row in a_d]
+             for d, a_d in parts.items()}
+        term = zero()
+        for d, b_d in b.items():
+            if d and k - d in sigma:
+                term = _mat_add(term, _mat_mul(b_d, sigma[k - d]))
+        sk = zero()
         j = 0
-        while any(term[i][l] for i in range(dim) for l in range(dim)):
-            f = rate ** (j + 1)
-            for i in range(dim):
-                for l in range(dim):
-                    for h, c in term[i][l].items():
-                        if c:
-                            sk[i][l][h + j + 1] = (
-                                sk[i][l].get(h + j + 1, Fraction(0)) + c * f)
-            term = ad(term)
+        while any(map(any, term)):
+            sk = _mat_add(sk, term)
+            term = _mat_add(_mat_mul(b[0], term), _mat_mul(term, b[0]), -1)
             j += 1
             if j > dim * dim + 2:
                 raise DegenerateQDE("adjoint action failed to nilpotate")
-        if any(c for row in sk for entry in row for c in entry.values()):
+        if any(map(any, sk)):
             sigma[k] = sk
 
-    mats = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            coeffs = {}
-            for k, mat in sigma.items():
-                for h, c in mat[i][j].items():
-                    if c:
-                        coeffs[((), k, h)] = c
-            row.append(Series(ring, coeffs))
-        mats.append(tuple(row))
-    return QdeSolution(alg, xi, ring, tuple(mats), tuple(tuple(r) for r in a0))
+    mats = tuple(tuple(Series(ring, {((), k, h): c for k, s_k in sigma.items()
+                                     for h, c in s_k[i][j].items()})
+                       for j in range(dim)) for i in range(dim))
+    classical = tuple(tuple(e.get(0, Fraction(0)) for e in row) for row in a0)
+    return QdeSolution(alg, xi, ring, mats, classical)
 
 
 # -- randomized instances for the property suites -----------------------------

@@ -70,8 +70,9 @@ class MarkedGraph:
 
     ``vertices`` maps vertex id to its decoration: genus 0 (or None)
     for the modular kind, a :class:`Color` for the colored kinds,
-    ``None`` for rooted forests.  It is a dict, or a sequence of
-    ``(id, decoration)`` pairs or of bare ids; a repeated id is refused.
+    ``None`` for rooted forests, which refuse any other decoration.  It
+    is a dict or an iterable of ``(id, decoration)`` pairs, never bare
+    ids; a repeated id is refused.
     ``edges`` is a sequence of unordered vertex-id pairs; the given order
     is kept and edge indices refer to it.  ``legs`` maps leg label to the vertex carrying it.  Every
     number goes through :func:`operator.index`, so a float raises
@@ -88,11 +89,7 @@ class MarkedGraph:
         kind = Kind(kind)
         color = {}
         ids = []
-        if isinstance(vertices, dict):
-            items = vertices.items()
-        else:
-            items = (v if isinstance(v, tuple) else (v, None)
-                     for v in vertices)
+        items = vertices.items() if isinstance(vertices, dict) else vertices
         for v, decor in items:
             v = index(v)
             ids.append(v)
@@ -103,6 +100,9 @@ class MarkedGraph:
                 if decor is None:
                     raise InvalidGraph(f"vertex {v}: colored kinds need a color")
                 color[v] = Color(decor)
+            elif decor is not None:
+                raise InvalidGraph(f"vertex {v}: rooted forests take no "
+                                   f"decoration, not {decor!r}")
         if len(set(ids)) != len(ids):
             raise InvalidGraph("duplicate vertex ids")
         ends = [(index(a), index(b)) for a, b in edges]
@@ -375,7 +375,8 @@ def modular_graph(genus, edges=(), legs=None):
 
 
 def rooted_forest(vertex_ids, edges=(), legs=None, root=0):
-    return MarkedGraph(Kind.ROOTED_FOREST, list(vertex_ids), edges, legs, root)
+    return MarkedGraph(Kind.ROOTED_FOREST, [(v, None) for v in vertex_ids],
+                       edges, legs, root)
 
 
 def colored_tree(colors, edges=(), legs=None):

@@ -16,23 +16,31 @@ from fractions import Fraction
 from .errors import CapExceeded, InvalidArgument
 
 
+def _integer(name, value):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgument(f"{name} {value!r} is not an integer") from None
+
+
 class SeriesRing:
     """Exponent bookkeeping shared by a family of series.
 
     ``t_cap`` bounds the total degree in the coordinate variables,
     ``q_cap`` the q exponent (a rational; resolution 1/q_denominator),
-    ``h_cap`` the power of hbar^-1.
+    ``h_cap`` the power of hbar^-1.  ``q_denominator``, ``t_cap`` and
+    ``h_cap`` are integers: a float is refused, not truncated.
     """
 
     def __init__(self, tvars=(), q_denominator=1, t_cap=6, q_cap=0, h_cap=0):
         self.tvars = tuple(tvars)
-        self.q_denominator = int(q_denominator)
+        self.q_denominator = _integer("q_denominator", q_denominator)
         if self.q_denominator < 1:
             raise ValueError("q denominator must be positive")
-        self.t_cap = int(t_cap)
+        self.t_cap = _integer("t_cap", t_cap)
         q_cap = Fraction(q_cap)
         self.q_cap_num = int(q_cap * self.q_denominator)
-        self.h_cap = int(h_cap)
+        self.h_cap = _integer("h_cap", h_cap)
         for name, cap in (("t_cap", self.t_cap), ("q_cap", q_cap),
                           ("h_cap", self.h_cap)):
             if cap < 0:

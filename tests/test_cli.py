@@ -21,6 +21,15 @@ def star_morphism_spec(pair):
                        "pairs": [pair]})
 
 
+def qde_spec(**extra):
+    """A solve-qde spec for the projective line, with ``extra`` keys."""
+    return json.dumps({"basis": ["1", "xi"], "q_cap": 2,
+                       "mu": [{"inputs": [0, 0], "output": 0},
+                              {"inputs": [0, 1], "output": 1},
+                              {"inputs": [1, 1], "output": 0, "q": "1"}],
+                       **extra})
+
+
 def assert_one_line_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -349,10 +358,12 @@ class TestUsage:
         ("check-star-morphism", star_morphism_spec(["a", 0])),
         ("check-star-morphism", star_morphism_spec([0.5, 0])),
         ("check-star-morphism", star_morphism_spec([[0], 0])),
+        ("solve-qde", qde_spec(order=2.5)),
+        ("solve-qde", qde_spec(q_denominator=2.7)),
     ], ids=["not-json", "missing-basis", "not-an-object", "bad-coeff",
             "output-range", "negative-input", "input-range",
             "q-denominator", "xi-range", "pair-range", "pair-str",
-            "pair-float", "pair-list"])
+            "pair-float", "pair-list", "order-float", "q-denominator-float"])
     def test_bad_cohft_spec_exits_two(self, command, text, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(text)
@@ -385,6 +396,20 @@ class TestUsage:
         assert main(argv + [str(bound + 1)]) == 2
         assert f"must be at most {bound}" in assert_one_line_error(capsys)
         assert main(argv + [str(bound)]) == 0
+        assert "residual zero: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value, integer", [
+        ("order", 2.5, 2), ("q_denominator", 2.7, 2)])
+    def test_non_integer_ring_size_exits_two(self, key, value, integer,
+                                             tmp_path, capsys):
+        # refused and named, where it used to run truncated with exit 0
+        path = tmp_path / "qde.json"
+        argv = ["cohft", "solve-qde", "--spec", str(path)]
+        path.write_text(qde_spec(**{key: value}))
+        assert main(argv) == 2
+        assert f"{value} is not an integer" in assert_one_line_error(capsys)
+        path.write_text(qde_spec(**{key: integer}))
+        assert main(argv) == 0
         assert "residual zero: True" in capsys.readouterr().out
 
     def test_q_denominator_bound(self, tmp_path, capsys):

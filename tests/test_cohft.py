@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -391,3 +393,57 @@ class TestQde:
         sol = solve_qde(alg, xi=1, q_cap=1)
         assert sol.residual_is_zero()
         assert sol.sigma[0][0].coefficient(q=Fraction(1, 2), h=2) != 0
+
+    @pytest.mark.parametrize("dim,denom", [(2, 1), (3, 1), (4, 1), (2, 2),
+                                           (3, 2), (4, 2)])
+    def test_residual_zero_dense(self, dim, denom):
+        sol = solve_qde(dense_qde_algebra(dim, denom), xi=1, q_cap=3)
+        assert sol.residual_is_zero()
+
+    def test_pinned_solutions(self):
+        # the fundamental solutions of three families, hashed; recompute
+        # QDE_SHA256 only for a deliberate change of the solver
+        text = "\n".join(repr((sol.sigma, sol.classical))
+                         for sol in qde_pin_solutions())
+        assert hashlib.sha256(text.encode()).hexdigest() == QDE_SHA256
+
+
+def dense_qde_algebra(dim, denom):
+    """xi = e_1 acts by a seeded matrix: a strictly upper-triangular
+    classical part A0 plus a full part at q^(1/denom)."""
+    ring = SeriesRing(tvars=[f"t{i}" for i in range(dim)], t_cap=2,
+                      q_denominator=denom, q_cap=1)
+    rng = random.Random(10 * dim + denom)
+    q1 = ring.q_power(Fraction(1, denom))
+    terms = []
+    for j in range(dim):
+        for k in range(dim):
+            c = Fraction(rng.randint(-5, 5) or 1, rng.randint(1, 4))
+            terms.append(((1, j), k, q1 * c))
+            if k < j:
+                terms.append(((1, j), k, Fraction(rng.randint(1, 5),
+                                                  rng.randint(1, 3))))
+    return algebra_from_terms(ring, tuple(f"e{i}" for i in range(dim)), terms)
+
+
+def qde_pin_solutions():
+    """P^1..P^5 through q^8; the dense family in dims 2..4 at q
+    denominators 1 and 2 through q^3; P^3 with xi^4 = q^(1/8), the spec
+    of the CLI's unprintable-coefficient test, through q^20."""
+    out = [solve_qde(small_quantum_projective(k), xi=1, q_cap=8)
+           for k in range(2, 7)]
+    out += [solve_qde(dense_qde_algebra(dim, denom), xi=1, q_cap=3)
+            for denom in (1, 2) for dim in (2, 3, 4)]
+    ring = SeriesRing(tvars=[f"t{i}" for i in range(4)], q_denominator=8,
+                      t_cap=6, q_cap=1)
+    alg = algebra_from_terms(
+        ring, tuple(f"xi^{i}" for i in range(4)),
+        [((i, j), (i + j) % 4, ring.q_power(Fraction((i + j) // 4, 8)))
+         for i in range(4) for j in range(4)])
+    out.append(solve_qde(alg, xi=1, q_cap=20))
+    return out
+
+
+# SHA-256 of the solutions above, computed at 60c0deb before the solver
+# was rewritten around one matrix product
+QDE_SHA256 = "c7781349c71e6fce9552e4f2a94fc5c2a0bb5f9833c1fd5af3f3bb9787202711"

@@ -191,6 +191,27 @@ class TestGenusZeroBoundary:
         assert not hasattr(g, "genus") and g.decorations()[0] == 0
 
 
+class TestVertexInput:
+    """The constructor takes a dict or (id, decoration) pairs only."""
+
+    def test_rooted_forest_reads_no_pair_as_a_decoration(self):
+        # the ids are the vertices: (0, 5) is not vertex 0 decorated by 5
+        with pytest.raises(TypeError):
+            rooted_forest([(0, 5)])
+
+    def test_rooted_forest_refuses_a_decoration(self):
+        with pytest.raises(InvalidGraph, match="take no decoration, not 'junk'"):
+            MarkedGraph(Kind.ROOTED_FOREST, {0: "junk", 1: Color.ZERO},
+                        [(0, 1)], {1: 1, 2: 1}, 0)
+        with pytest.raises(InvalidGraph, match="take no decoration"):
+            MarkedGraph(Kind.ROOTED_FOREST, [(0, None), (1, Color.ZERO)],
+                        [(0, 1)], {1: 1, 2: 1}, 0)
+
+    def test_bare_ids_refused(self):
+        with pytest.raises(TypeError):
+            MarkedGraph(Kind.MODULAR, [0, 1, 2], [(0, 1)])
+
+
 class TestStability:
     def test_colored_valence_two_is_stable(self):
         assert is_stable(open_mult(1))

@@ -119,6 +119,15 @@ class TestNegativeCaps:
         with pytest.raises(InvalidArgument, match="q_cap"):
             SeriesRing(q_denominator=2, q_cap=Fraction(-1, 2))
 
+    @pytest.mark.parametrize("size, value", [
+        ("t_cap", 2.9), ("h_cap", 1.5), ("q_denominator", 2.5),
+        ("t_cap", "2")])
+    def test_non_integer_size_refused(self, size, value):
+        # refused, not truncated to an integer
+        with pytest.raises(InvalidArgument,
+                           match=f"^{size} {value!r} is not an integer$"):
+            SeriesRing(tvars=["t0"], **{size: value})
+
     def test_zero_caps_keep_the_constants(self):
         r = SeriesRing(tvars=["t0"], t_cap=0, q_cap=0, h_cap=0)
         assert r.one() * r.one() == r.one()

@@ -26,9 +26,11 @@ the change won (ties count for neither side), together with the
 environment and both revisions.  The change's commit is recorded with
 a flag for uncommitted changes and a SHA-256 of the ``src`` files that
 were measured.  The closing summary on stdout has one line per workload
-and metric, with both medians, the change in percent and the change
-wins; a metric whose change median is worse than the parent's ends in
-``WORSE``.
+and metric, with both medians, the change in percent, the change wins
+and the parent's interquartile range (IQR).  A line ends in
+``unresolved`` when the gap between the medians is not larger than
+that IQR, so the runs cannot tell the two sides apart, and in ``WORSE``
+when the change median is worse than the parent's.
 """
 
 from __future__ import annotations
@@ -143,13 +145,17 @@ def summarize(runs, end_to_end):
 
 def summary_line(workload, name, m):
     """One line of the closing summary: the parent and change medians,
-    the change in percent and the change wins, flagged ``WORSE`` when
-    the change median is worse than the parent's."""
+    the change in percent, the change wins and the parent's IQR, flagged
+    ``unresolved`` when the medians lie no further apart than that IQR
+    and ``WORSE`` when the change median is worse than the parent's."""
     before, after = m["parent"]["median"], m["change"]["median"]
+    iqr = m["parent"]["q3"] - m["parent"]["q1"]
     pct = f"{100 * (after - before) / before:+.1f}%" if before else "n/a"
     worse = after > before if m["better"] == "lower" else after < before
     return (f"{workload}: {name} {before:.4f} -> {after:.4f} {pct} "
-            f"({m['change_wins']}/{m['pairs']} change wins)"
+            f"({m['change_wins']}/{m['pairs']} change wins, "
+            f"parent IQR {iqr:.4f})"
+            + ("  unresolved" if abs(after - before) <= iqr else "")
             + ("  WORSE" if worse else ""))
 
 
