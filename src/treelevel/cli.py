@@ -18,7 +18,7 @@ from . import cohft, divrel, kirwan, selftest
 from .cones import cone_summary
 from .errors import InvalidArgument, TreelevelError
 from .graphs import COLORED_KINDS, Color, Kind, MarkedGraph
-from .series import SeriesRing
+from .series import SeriesRing, _integer
 from .strata import SpaceKind, boundary_divisors, iter_strata
 
 
@@ -236,6 +236,9 @@ def _nonnegative(value, name):
 
 
 def _at_most(value, name, bound):
+    """``value`` as an int in 0..bound; a string or float such as a
+    spec's ``"order": "2"`` is refused by name, not compared."""
+    value = _integer(name, value)
     if _nonnegative(value, name) > bound:
         raise InvalidArgument(f"{name} must be at most {bound}, not {value}")
     return value

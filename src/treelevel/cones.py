@@ -31,19 +31,20 @@ from .graphs import (
 from .linalg import (
     cone_contains,
     det,
-    extremal_rays,
     frac_rank,
     primitive,
     smith_normal_form,
 )
 
 #: Upper guard on the edges of a graph whose cone is computed.  The time
-#: grows with about the fourth power of the edge count.  The slowest
-#: shape tried, a colored vertex carrying many zero bubbles, has a ray
-#: per edge and classifies in about a second at 56 edges; a star of 56
-#: colored leaves takes 0.03 s.  Strata reach at most 10 edges in
-#: mult(6) and 9 in scaled(5).
-MAX_CONE_EDGES = 56
+#: goes to the rank check and the Smith form of the relation rows, one
+#: per colored vertex but one, and grows with about the third power of
+#: the edge count.  The slowest shape tried, a star of colored leaves
+#: under an infinite vertex, classifies in about 0.75 s at 200 edges;
+#: binary trees, chains and stars over zero bubbles take about 0.5 s
+#: or less.  Strata reach at most 10 edges in mult(6) and 9 in
+#: scaled(5).
+MAX_CONE_EDGES = 200
 
 
 @dataclass(frozen=True)
@@ -126,9 +127,9 @@ def classify_cone(g):
 
     The quotient of Z^edges by the saturation of the relation lattice
     is computed through a Smith normal form; the images of the standard
-    basis vectors generate the cone, and the extremal ones among them
-    are reported.  Simplicial means #rays equals the rank; smooth means
-    the rays form a lattice basis.
+    basis vectors generate the cone, and the rays are the images of the
+    edges :func:`_ray_edges` keeps, sorted.  Simplicial means #rays
+    equals the rank; smooth means the rays form a lattice basis.
     """
     rel = relation_lattice(g)
     nedges = len(rel.edges)
@@ -146,10 +147,46 @@ def classify_cone(g):
     images = [tuple(v[i][s:]) for i in range(nedges)]
     if any(not any(img) for img in images):
         raise InvalidGraph("a gluing parameter died in the quotient")
-    rays = tuple(extremal_rays([primitive(img) for img in images]))
+    rays = tuple(sorted({primitive(images[i]) for i in _ray_edges(g)}))
     simplicial = len(rays) == ambient
     smooth = simplicial and abs(det(list(rays))) == 1
     return ConeData(ambient, rays, simplicial, smooth, torsion)
+
+
+def _ray_edges(g):
+    """Indices of the edges whose images are the extremal rays.
+
+    Hang the tree from its anchor; colors run infinite, colored, zero
+    downward.  A relation row only sees the path of a colored vertex up
+    to the anchor, so the balanced condition reads: a functional on
+    Z^edges passes to the quotient when it sums to the same value along
+    every such path.
+
+    An edge p -> c from an infinite vertex to a colored one is dropped
+    when p has an infinite child x: for a colored w below x the two
+    paths agree above p, so e_pc = e_px + (the path from x down to w),
+    a sum of other generators.  Every other edge e is extremal, shown
+    by a functional that has one sum along every path, is negative on
+    e and nonnegative on every generator off e's ray:
+    - an edge to a zero vertex meets no path; take -1 on it alone;
+    - an infinite edge p -> x: -1 on it, +1 on each edge from x to a
+      child;
+    - an edge p -> c when p has no infinite child: all of p's colored
+      edges have the same image, e_pc's ray; take -1 on each of them
+      and +1 on the edge above p (at the anchor, nothing more: every
+      path is then one of those edges).
+    """
+    parents = _parents(g.adjacency(), g.anchor)
+    # the vertices with an infinite child, all of them infinite
+    over_infinite = {parents[v] for v in g.vertex_ids
+                     if g.color[v] is Color.INFINITY
+                     and parents[v] is not None}
+    keep = []
+    for i, (a, b) in enumerate(g.edges):
+        p, c = (a, b) if parents[b] == a else (b, a)
+        if not (g.color[c] is Color.COLORED and p in over_infinite):
+            keep.append(i)
+    return keep
 
 
 def cone_rays(g):

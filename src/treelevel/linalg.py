@@ -17,8 +17,9 @@ from .errors import TooLarge
 
 #: Most bases :func:`cone_contains` may try.  The test of a point tries
 #: every basis of the span among the generators, C(#generators, rank) of
-#: them; a colored tree whose cone needs 1287 per test classifies in
-#: about 0.6 s, one that needs 3003 in about 1.2 s.
+#: them.  A point outside the cone of 14 generators of rank 5, 2002
+#: bases, takes about 0.1 s; :func:`extremal_rays` runs one test per
+#: generator.
 MAX_CONE_BASES = 2500
 
 

@@ -144,9 +144,11 @@ class TestConeCommand:
     def test_missing_file(self, capsys):
         assert main(["cone", "--graph", "/nonexistent.json"]) == 2
 
-    def test_too_many_bases_exits_two_at_once(self, tmp_path, capsys):
+    def test_wide_tree_reads_rays_at_once(self, tmp_path, capsys):
         # an infinite vertex holding leg 0 over nine infinite vertices with
-        # two colored leaves each: 27 edges, C(17, 7) = 19448 bases per test
+        # two colored leaves each: 27 edges with 18 distinct images in
+        # rank 10, each a ray, one per allowed collapse: 9 infinite
+        # edges and 9 relation collapses.
         colors = {0: "infinity"}
         edges, legs = [], {0: 0}
         for mid in range(1, 28, 3):
@@ -158,9 +160,10 @@ class TestConeCommand:
         path.write_text(MarkedGraph("colored_tree", colors, edges,
                                     legs).to_json())
         start = time.perf_counter()
-        assert main(["cone", "--graph", str(path)]) == 2
+        assert main(["cone", "--graph", str(path)]) == 0
         assert time.perf_counter() - start < 1
-        assert "19448 bases" in assert_one_line_error(capsys)
+        out = capsys.readouterr().out
+        assert out.startswith("ambient rank 10, 18 extremal rays\n")
 
     def test_oversized_graph_exits_two_at_once(self, tmp_path, capsys):
         # an infinite vertex holding leg 0 over 640 colored leaves
@@ -411,6 +414,15 @@ class TestUsage:
         path.write_text(qde_spec(**{key: integer}))
         assert main(argv) == 0
         assert "residual zero: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["order", "q_denominator"])
+    def test_string_ring_size_exits_two(self, key, tmp_path, capsys):
+        # named, where comparing the string with 0 ended in "'<' not
+        # supported between instances of 'str' and 'int'"
+        path = tmp_path / "qde.json"
+        path.write_text(qde_spec(**{key: "2"}))
+        assert main(["cohft", "solve-qde", "--spec", str(path)]) == 2
+        assert f"{key} '2' is not an integer" in assert_one_line_error(capsys)
 
     def test_q_denominator_bound(self, tmp_path, capsys):
         path = tmp_path / "qde.json"

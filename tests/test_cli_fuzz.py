@@ -73,11 +73,10 @@ def colored_tree_files(draw):
     """The JSON text of a colored tree, rooted or with leg 0.
 
     An infinite top is over 2-5 branches, each a colored leaf with one
-    or two legs or an infinite vertex over two or three such leaves, and
-    classifies in milliseconds; or it is over 9-12 branches of the
-    second sort, and its cone needs more bases than the kernel tries.
-    Some trees get one defect: a recolored vertex or a leaf without
-    legs."""
+    or two legs or an infinite vertex over two or three such leaves; or
+    it is over 9-12 branches of the second sort, up to 48 edges.  Both
+    classify in milliseconds.  Some trees get one defect: a recolored
+    vertex or a leaf without legs."""
     colors = ["infinity"]
     edges = []
     legs = {}

@@ -12,12 +12,23 @@ is solved here as a fixed point over Fractions and shares no code with
 the enumeration's recursions.
 """
 
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from treelevel.strata import M0, count_strata
+from treelevel.cones import classify_cone
+from treelevel.linalg import det, frac_rank
+from treelevel.strata import (
+    FM,
+    M0,
+    MULT,
+    SCALED,
+    closure_poset,
+    count_strata,
+)
 
 MAX_N = 12
 X_CAP = MAX_N - 1
@@ -42,10 +53,11 @@ def _poly_add(acc, a, factor=1):
 
 
 def _exp(t):
-    """exp(t) through x^X_CAP for t without constant term, from e' = t' e;
-    a series is the list of its x coefficients, polynomials in y."""
+    """exp(t) for t without constant term, through the last power of x
+    that t holds, from e' = t' e; a series is the list of its x
+    coefficients, Laurent polynomials in y."""
     e = [{0: Fraction(1)}]
-    for n in range(1, X_CAP + 1):
+    for n in range(1, len(t)):
         acc = {}
         for k in range(1, n + 1):
             _poly_add(acc, _poly_mul(t[k], e[n - k]), Fraction(k, n))
@@ -83,3 +95,142 @@ def test_m0_fvector_solves_schroeders_equation(n, schroeder):
     fvector = {c: int(v) for c, v in counts.items()}
     assert count_strata(M0(n)) == fvector
     assert sum(fvector.values()) == SCHROEDER_TOTALS[n]
+
+
+# -- one functional equation per family ----------------------------------
+
+FAMILY_N = 9
+
+# the total number of strata of mult(n), n = 1..9
+MULT_TOTALS = {1: 1, 2: 3, 3: 18, 4: 170, 5: 2208, 6: 36648, 7: 742528,
+               8: 17794736, 9: 492879008}
+
+
+def _times_y(series, k):
+    """``series`` times y^k."""
+    return [{c + k: v for c, v in sn.items()} for sn in series]
+
+
+def _plus(a, b, factor=1):
+    """a + factor * b, through the last power of x that a holds."""
+    out = [dict(an) for an in a]
+    for on, bn in zip(out, b):
+        _poly_add(on, bn, factor)
+    return [{c: v for c, v in on.items() if v} for on in out]
+
+
+def family_series(schroeder):
+    """The exponential generating series of each family's strata,
+    through x^FAMILY_N, x marking a leg and y the codimension.
+
+    B = x + y (e^B - 1 - B) counts the bubble trees hanging from an
+    edge; it is Schröder's T.  C = y^-1 (e^B - 1) + (e^(yC) - 1 - yC)
+    counts the colored branches: a colored vertex over legs and bubble
+    trees, or an infinite vertex over at least two colored branches; y
+    counts edges and y^-1 each colored vertex, the codimension being
+    edges + 1 - #colored.  fm is e^B, mult is yC and scaled is
+    e^B + y e^(yC): a colored root, or an infinite root over any
+    number of colored branches.
+    """
+    b = [{}, {0: Fraction(1)}] + [{} for _ in range(FAMILY_N - 1)]
+    b = _plus(b, _times_y(schroeder[:FAMILY_N + 1], 1))
+    e_b = _exp(b)
+    colored_vertex = [{}] + _times_y(e_b[1:], -1)
+    c = [{} for _ in range(FAMILY_N + 1)]
+    # each pass fixes one more power of x
+    for _ in range(FAMILY_N + 1):
+        yc = _times_y(c, 1)
+        infinite = _plus(_exp(yc), yc, -1)
+        infinite[0] = {}
+        c = _plus(colored_vertex, infinite)
+    yc = _times_y(c, 1)
+    return {"fm": e_b, "mult": yc,
+            "scaled": _plus(e_b, _times_y(_exp(yc), 1))}
+
+
+@pytest.fixture(scope="module")
+def families(schroeder):
+    return family_series(schroeder)
+
+
+@pytest.mark.parametrize(
+    "space", [FM(n) for n in range(FAMILY_N + 1)]
+    + [MULT(n) for n in range(1, FAMILY_N + 1)]
+    + [SCALED(n) for n in range(FAMILY_N + 1)], ids=str)
+def test_fvector_solves_its_family_equation(space, families):
+    counts = {c: v * math.factorial(space.n)
+              for c, v in sorted(families[space.family][space.n].items())}
+    assert all(v.denominator == 1 for v in counts.values())
+    fvector = {c: int(v) for c, v in counts.items()}
+    assert count_strata(space) == fvector
+    if space.family == "mult":
+        assert sum(fvector.values()) == MULT_TOTALS[space.n]
+
+
+# -- cone faces are the strata above -------------------------------------
+#
+# The gluing cone of a stratum S of codimension c lives in the
+# character lattice of its local toric chart, so by the orbit-cone
+# correspondence (Cox, Little & Schenck, *Toric Varieties*, Thm 3.2.6)
+# its faces of dimension j match the strata D with S in the closure of
+# D, S included, of codimension c - j.  The face lattice comes from the
+# rays alone and the strata above from closure_poset's collapses, so
+# this ties cones to morphisms.
+
+def face_counts(rays):
+    """Faces of dimension j of the pointed full-dimensional cone over
+    ``rays``, for each j: a facet is spanned by rays on a hyperplane
+    with every ray on one side of it, and the faces are the cone and the
+    intersections of facets."""
+    c = len(rays[0])
+    facets = set()
+    for subset in itertools.combinations(rays, c - 1):
+        # the cofactors span the null space of a rank c - 1 subset
+        normal = [(-1) ** j * det([r[:j] + r[j + 1:] for r in subset])
+                  for j in range(c)]
+        if not any(normal):
+            continue
+        sides = [sum(a * b for a, b in zip(normal, r)) for r in rays]
+        if min(sides) >= 0 or max(sides) <= 0:
+            facets.add(frozenset(i for i, x in enumerate(sides) if x == 0))
+    faces = set(facets)
+    new = facets
+    while new:
+        new = {a & b for a in new for b in facets} - faces
+        faces |= new
+    faces.add(frozenset(range(len(rays))))
+    return Counter(frac_rank([rays[i] for i in f]) if f else 0
+                   for f in faces)
+
+
+def strata_above(poset):
+    """Each stratum's key to the keys of the strata whose closure holds
+    it, itself included: the transitive closure of the covers."""
+    above = {}
+
+    def walk(k):
+        if k not in above:
+            above[k] = frozenset({k}).union(*map(walk, poset.covers[k]))
+        return above[k]
+
+    for k in poset.strata:
+        walk(k)
+    return above
+
+
+@pytest.mark.parametrize(
+    "space", [MULT(3), MULT(4), SCALED(3), SCALED(4),
+              pytest.param(MULT(5), marks=pytest.mark.slow)], ids=str)
+def test_cone_faces_are_the_strata_above(space):
+    poset = closure_poset(space)
+    above = strata_above(poset)
+    checked = 0
+    for k, g in poset.strata.items():
+        c = poset.codim[k]
+        if c < 2:
+            continue
+        rays = classify_cone(g).rays
+        assert face_counts(rays) == Counter(c - poset.codim[d]
+                                            for d in above[k]), g
+        checked += 1
+    assert checked
