@@ -16,8 +16,8 @@ from treelevel.cones import classify_cone, relation_lattice
 from treelevel.errors import TreelevelError
 from treelevel.graphs import (
     Color,
-    is_stable,
     colored_tree,
+    is_stable,
     rooted_colored_tree,
     validate,
 )
@@ -142,10 +142,10 @@ def valid_stable_trees(seed, rooted, count):
 
 @pytest.mark.parametrize("rooted", [False, True], ids=["leg0", "rooted"])
 def test_rays_match_extremal_search_on_random_trees(rooted):
-    seen = set()
-    for g in valid_stable_trees(2024 + rooted, rooted, RANDOM_TREES):
+    trees = list(valid_stable_trees(2024 + rooted, rooted, RANDOM_TREES))
+    for g in trees:
         assert_same_rays(g)
-        seen.add(tuple(sorted(g.color.values(), key=lambda c: c.value)))
-    # the sample reaches all three colors, not only mult's shapes
-    assert any(Color.ZERO in colors and Color.INFINITY in colors
-               for colors in seen)
+    # the sample reaches zero vertices beside infinite ones, not only
+    # mult's shapes
+    assert any({Color.ZERO, Color.INFINITY} <= set(g.color.values())
+               for g in trees)
