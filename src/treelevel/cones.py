@@ -24,26 +24,24 @@ from .graphs import (
     COLORED_KINDS,
     Color,
     _parents,
-    _path_up,
     is_stable,
     require_valid,
 )
 from .linalg import (
     cone_contains,
-    det,
-    frac_rank,
     primitive,
     smith_normal_form,
 )
 
 #: Upper guard on the edges of a graph whose cone is computed.  The time
-#: goes to the rank check and the Smith form of the relation rows, one
-#: per colored vertex but one, and grows with about the third power of
-#: the edge count.  The slowest shape tried, a star of colored leaves
-#: under an infinite vertex, classifies in about 0.75 s at 200 edges;
-#: binary trees, chains and stars over zero bubbles take about 0.5 s
-#: or less.  Strata reach at most 10 edges in mult(6) and 9 in
-#: scaled(5).
+#: goes to the Smith form of the relation rows, one per colored vertex
+#: but one, and grows with about the third power of the edge count.
+#: The slowest shape tried, a star of colored leaves under an infinite
+#: vertex, classifies in 0.38-0.44 s at 200 edges on 2 shared vCPUs
+#: (1.0-1.15 s with a rank elimination and the Smith form's left
+#: transform, measured alongside); infinite vertices over three colored
+#: leaves, chains and stars over zero bubbles take about 0.25 s or
+#: less.  Strata reach at most 10 edges in mult(6) and 9 in scaled(5).
 MAX_CONE_EDGES = 200
 
 
@@ -75,15 +73,30 @@ def relation_lattice(g):
     """Relation rows for the balanced labelling of a colored tree.
 
     The row for a colored vertex w is chi(base) - chi(w), where chi(v)
-    is the indicator vector of the edges on the path from v to the
-    root side; the common tail of the two paths cancels, leaving +1 on
-    the ascending half and -1 on the descending half.  Raises TooLarge
-    when ``g`` has more than :data:`MAX_CONE_EDGES` edges.
+    is the indicator vector of the edges on the path from v up to the
+    anchor; the common tail of the two paths cancels, leaving +1 on the
+    ascending half and -1 on the descending half.  Raises TooLarge when
+    ``g`` has more than :data:`MAX_CONE_EDGES` edges.
+
+    The rank is the row count, with no elimination.  With two or more
+    colored vertices none sits at the anchor (a colored top has only
+    zero vertices below it), and in a valid tree no colored vertex lies
+    below another.  So row w has -1 on the edge from w up to its parent
+    and no other row touches that edge: the rows are independent, and
+    their minor on those edges is -1 times the identity, so they span a
+    saturated lattice.
     """
+    return _relation_lattice(g)[0]
+
+
+def _relation_lattice(g):
+    """:func:`relation_lattice` of ``g`` and the parent map of ``g`` hung
+    from its anchor, which the rows are read from."""
     require_valid(g)
     if g.kind not in COLORED_KINDS:
         raise KindMismatch("relation lattices live on colored kinds")
-    if not g.is_connected():
+    # a valid graph is a forest, so one tree exactly when |E| = |V| - 1
+    if len(g.edges) != len(g.vertex_ids) - 1:
         raise Disconnected("relation lattice needs a connected tree")
     if not is_stable(g):
         raise InvalidGraph("relation lattice is defined for stable types")
@@ -95,31 +108,23 @@ def relation_lattice(g):
         raise TooLarge(f"the relation lattice would have {nedges} edge "
                        f"columns, more than {MAX_CONE_EDGES}")
 
-    edge_at = {}
-    for i, (a, b) in enumerate(g.edges):
-        edge_at[(a, b)] = i
-        edge_at[(b, a)] = i
-    # every path runs up to the anchor (leg 0's vertex or the root)
     parents = _parents(g.adjacency(), g.anchor)
+    # the edge from each vertex but the anchor up to its parent
+    up_edge = {}
+    for i, (a, b) in enumerate(g.edges):
+        up_edge[b if parents[b] == a else a] = i
 
     def chi(v):
         vec = [0] * nedges
-        path = _path_up(parents, v)
-        for a, b in zip(path, path[1:]):
-            vec[edge_at[(a, b)]] = 1
+        while parents[v] is not None:
+            vec[up_edge[v]] = 1
+            v = parents[v]
         return vec
 
-    base = colored[0]
-    base_chi = chi(base)
-    rows = []
-    for w in colored[1:]:
-        w_chi = chi(w)
-        rows.append(tuple(x - y for x, y in zip(base_chi, w_chi)))
-    matrix = tuple(rows)
-    rank = frac_rank(matrix) if matrix else 0
-    if rank != len(colored) - 1:
-        raise InvalidGraph("relation rank must be #colored - 1")
-    return RelationLattice(tuple(range(nedges)), matrix, rank)
+    base_chi = chi(colored[0])
+    rows = tuple(tuple(x - y for x, y in zip(base_chi, chi(w)))
+                 for w in colored[1:])
+    return RelationLattice(tuple(range(nedges)), rows, len(rows)), parents
 
 
 def classify_cone(g):
@@ -130,16 +135,23 @@ def classify_cone(g):
     basis vectors generate the cone, and the rays are the images of the
     edges :func:`_ray_edges` keeps, sorted.  Simplicial means #rays
     equals the rank; smooth means the rays form a lattice basis.
+
+    A simplicial cone is smooth.  The relation rows are signed paths of
+    the tree, so the matrix is the transpose of a network matrix and
+    totally unimodular (Schrijver, *Theory of Linear and Integer
+    Programming*, ch. 19).  Edge images independent in the quotient
+    leave a nonsingular square minor on the other columns, of
+    determinant +-1, so they form a lattice basis, and the rays of a
+    simplicial cone are such images.
     """
-    rel = relation_lattice(g)
+    rel, parents = _relation_lattice(g)
     nedges = len(rel.edges)
     ambient = nedges - rel.rank
     if not rel.matrix:
-        rays = tuple(
-            tuple(1 if j == i else 0 for j in range(nedges))
-            for i in range(nedges))
+        rays = tuple(tuple(int(j == i) for j in range(nedges))
+                     for i in range(nedges))
         return ConeData(ambient, rays, True, True)
-    _, d, v = smith_normal_form(rel.matrix)
+    d, v = smith_normal_form(rel.matrix)
     s = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     if s != rel.rank:
         raise InvalidGraph("Smith rank disagrees with relation rank")
@@ -147,20 +159,21 @@ def classify_cone(g):
     images = [tuple(v[i][s:]) for i in range(nedges)]
     if any(not any(img) for img in images):
         raise InvalidGraph("a gluing parameter died in the quotient")
-    rays = tuple(sorted({primitive(images[i]) for i in _ray_edges(g)}))
+    rays = tuple(sorted({primitive(images[i])
+                         for i in _ray_edges(g, parents)}))
     simplicial = len(rays) == ambient
-    smooth = simplicial and abs(det(list(rays))) == 1
-    return ConeData(ambient, rays, simplicial, smooth, torsion)
+    return ConeData(ambient, rays, simplicial, simplicial, torsion)
 
 
-def _ray_edges(g):
-    """Indices of the edges whose images are the extremal rays.
+def _ray_edges(g, parents):
+    """Indices of the edges whose images are the extremal rays;
+    ``parents`` is ``g`` hung from its anchor.
 
-    Hang the tree from its anchor; colors run infinite, colored, zero
-    downward.  A relation row only sees the path of a colored vertex up
-    to the anchor, so the balanced condition reads: a functional on
-    Z^edges passes to the quotient when it sums to the same value along
-    every such path.
+    Colors run infinite, colored, zero downward from the anchor.  A
+    relation row only sees the path of a colored vertex up to the
+    anchor, so the balanced condition reads: a functional on Z^edges
+    passes to the quotient when it sums to the same value along every
+    such path.
 
     An edge p -> c from an infinite vertex to a colored one is dropped
     when p has an infinite child x: for a colored w below x the two
@@ -176,7 +189,6 @@ def _ray_edges(g):
       and +1 on the edge above p (at the anchor, nothing more: every
       path is then one of those edges).
     """
-    parents = _parents(g.adjacency(), g.anchor)
     # the vertices with an infinite child, all of them infinite
     over_infinite = {parents[v] for v in g.vertex_ids
                      if g.color[v] is Color.INFINITY

@@ -316,11 +316,20 @@ class MarkedGraph:
                     verts.append((rec["id"], rec["color"]))
                 else:
                     verts.append((rec["id"], None))
+            # a key must spell its label plainly: "02" would merge with
+            # "2", and int() would read "1_0" as 10
+            legs = {}
+            for key, v in obj.get("legs", {}).items():
+                label = int(key)
+                if str(label) != key:
+                    raise InvalidGraph(
+                        f"leg key {key!r} is not a plain decimal label")
+                legs[label] = v
             return cls(
                 kind,
                 verts,
                 [tuple(e) for e in obj.get("edges", [])],
-                {int(l): v for l, v in obj.get("legs", {}).items()},
+                legs,
                 obj.get("root"),
             )
         except KeyError as err:

@@ -1,6 +1,9 @@
 """Exact integer linear algebra used by the cone and counting modules:
-rank and determinant by fraction-free (Bareiss) elimination, Smith and
-Hermite normal forms, cone membership and extremal-ray filtering.
+rank and determinant by fraction-free (Bareiss) elimination, the Smith
+normal form with its right transform (the cones read the quotient
+lattice off it), the Hermite form of a row lattice, cone membership
+and extremal-ray filtering (the reference for the rays that the cones
+read off the tree).
 
 Rank, primitive vectors and cone membership accept Fraction entries
 and clear their denominators once per vector, after which everything
@@ -131,35 +134,20 @@ def extremal_rays(rays):
     return out
 
 
-def _identity(k):
-    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-
-
 def smith_normal_form(mat):
-    """Smith form with transforms: returns (U, D, V) with U*mat*V = D.
+    """Smith form with its right transform: returns (D, V) with
+    U*mat*V = D for a unimodular U that is not built.
 
-    U and V are unimodular; D is diagonal with the nonzero entries
-    first.  ``mat`` is a list of integer rows.
+    V is unimodular; D is diagonal with the nonzero entries first, each
+    dividing the next.  Past the rank s of D, row i of V is the image of
+    the i-th unit vector in Z^columns modulo the saturation of the row
+    lattice, which is Z^(columns - s).  ``mat`` is a list of integer
+    rows.
     """
     a = [list(map(int, row)) for row in mat]
     r = len(a)
     c = len(a[0]) if r else 0
-    U = _identity(r)
-    V = _identity(c)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, f):
-        a[dst] = [x + f * y for x, y in zip(a[dst], a[src])]
-        U[dst] = [x + f * y for x, y in zip(U[dst], U[src])]
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def add_col(src, dst, f):
         for row in a:
@@ -167,35 +155,34 @@ def smith_normal_form(mat):
         for row in V:
             row[dst] += f * row[src]
 
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        U[i] = [-x for x in U[i]]
-
     def reduce_from(t):
         # pivot on a smallest nonzero entry of the trailing block and
         # clear its row and column, until the block is diagonal
         while t < min(r, c):
-            best = None
-            for i in range(t, r):
-                for j in range(t, c):
-                    if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
+            # the first smallest in row-major order; V depends on it
+            pivots = [(abs(a[i][j]), i, j) for i in range(t, r)
+                      for j in range(t, c) if a[i][j]]
+            if not pivots:
                 return
-            swap_rows(t, best[0])
-            swap_cols(t, best[1])
+            _, i, j = min(pivots)
+            a[t], a[i] = a[i], a[t]
+            for row in a + V:
+                row[t], row[j] = row[j], row[t]
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
+            top = a[t]
+            p = top[t]
             dirty = False
             for i in range(t + 1, r):
                 if a[i][t] != 0:
-                    add_row(t, i, -(a[i][t] // a[t][t]))
+                    f = -(a[i][t] // p)
+                    a[i] = [x + f * y for x, y in zip(a[i], top)]
                     if a[i][t] != 0:
                         dirty = True
             for j in range(t + 1, c):
-                if a[t][j] != 0:
-                    add_col(t, j, -(a[t][j] // a[t][t]))
-                    if a[t][j] != 0:
+                if top[j] != 0:
+                    add_col(t, j, -(top[j] // p))
+                    if top[j] != 0:
                         dirty = True
             if not dirty:
                 t += 1
@@ -212,7 +199,7 @@ def smith_normal_form(mat):
                 reduce_from(i)
                 changed = True
                 break
-    return U, a, V
+    return a, V
 
 
 def row_hermite_form(rows):

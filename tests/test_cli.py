@@ -179,6 +179,36 @@ class TestConeCommand:
                 in assert_one_line_error(capsys))
 
 
+    @pytest.mark.parametrize("key", ["02", " 2", "+2", "1_0"])
+    def test_leg_key_not_plain_decimal_exits_two(self, key, tmp_path,
+                                                 capsys):
+        # infinite 0 over colored 1 and 2: int() would read the extra
+        # key as leg 2, silently moving it onto vertex 1, or as leg 10
+        obj = {"kind": "colored_tree",
+               "vertices": [{"id": 0, "color": "infinity"},
+                            {"id": 1, "color": "colored"},
+                            {"id": 2, "color": "colored"}],
+               "edges": [[0, 1], [0, 2]],
+               "legs": {"0": 0, "1": 1, "2": 2, key: 1}}
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(obj))
+        assert main(["cone", "--graph", str(path)]) == 2
+        assert f"leg key {key!r}" in assert_one_line_error(capsys)
+
+    def test_plain_leg_keys_still_parse(self, tmp_path, capsys):
+        obj = {"kind": "colored_tree",
+               "vertices": [{"id": 0, "color": "infinity"},
+                            {"id": 1, "color": "colored"},
+                            {"id": 2, "color": "colored"}],
+               "edges": [[0, 1], [0, 2]],
+               "legs": {"0": 0, "1": 1, "2": 2, "10": 1}}
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(obj))
+        assert main(["cone", "--graph", str(path)]) == 0
+        assert capsys.readouterr().out.startswith(
+            "ambient rank 1, 1 extremal rays\n")
+
+
 class TestDivisorsCommand:
     def test_verify_pullback_passes(self, capsys):
         assert main(["divisors", "--space", "mult", "--n", "3",

@@ -5,7 +5,9 @@ infinite vertex to a colored one when the infinite vertex also has an
 infinite child.  The reference below filters all the edge images with
 ``linalg.extremal_rays``, which tests each against the cone of the
 others.  The two must agree, in the same order, on every stratum and on
-random valid stable colored trees, errors included.
+random valid stable colored trees, errors included.  So must smoothness,
+which ``classify_cone`` takes to be simpliciality and the reference
+reads off the determinant of the rays.
 """
 
 import random
@@ -21,7 +23,7 @@ from treelevel.graphs import (
     rooted_colored_tree,
     validate,
 )
-from treelevel.linalg import extremal_rays, smith_normal_form
+from treelevel.linalg import det, extremal_rays, smith_normal_form
 from treelevel.strata import MULT, SCALED, enumerate_strata
 
 # a tree past this many edges asks the reference for too many bases
@@ -37,8 +39,16 @@ def reference_rays(g):
     if not rel.matrix:
         return tuple(tuple(int(j == i) for j in range(nedges))
                      for i in range(nedges))
-    _, _, v = smith_normal_form(rel.matrix)
+    _, v = smith_normal_form(rel.matrix)
     return tuple(extremal_rays([row[rel.rank:] for row in v]))
+
+
+def reference_cone(g):
+    """The reference rays, and smoothness read off their determinant:
+    a simplicial cone is smooth when its rays have determinant +-1."""
+    rays = reference_rays(g)
+    ambient = len(rays[0]) if rays else 0
+    return rays, len(rays) == ambient and abs(det(rays)) == 1
 
 
 def outcome(f, g):
@@ -49,9 +59,13 @@ def outcome(f, g):
         return type(err)
 
 
+def rays_and_smooth(g):
+    cone = classify_cone(g)
+    return cone.rays, cone.smooth
+
+
 def assert_same_rays(g):
-    assert outcome(lambda h: classify_cone(h).rays, g) == outcome(
-        reference_rays, g), g
+    assert outcome(rays_and_smooth, g) == outcome(reference_cone, g), g
 
 
 @pytest.mark.parametrize("space", [MULT(n) for n in range(1, 6)]

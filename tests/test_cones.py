@@ -30,13 +30,13 @@ class TestLinalg:
             [[0, 0], [0, 0]],
         ]
         for m in mats:
-            u, d, v = smith_normal_form(m)
+            d, v = smith_normal_form(m)
             r, c = len(m), len(m[0])
-            assert abs(det(u)) == 1 and abs(det(v)) == 1
-            prod = [[sum(u[i][a] * m[a][b] * v[b][j] for a in range(r)
-                         for b in range(c))
-                     for j in range(c)] for i in range(r)]
-            assert prod == [list(row) for row in d]
+            assert abs(det(v)) == 1
+            # m*V = U^-1 * D for a unimodular U: both have one row lattice
+            mv = [[sum(m[i][b] * v[b][j] for b in range(c))
+                   for j in range(c)] for i in range(r)]
+            assert row_hermite_form(mv) == row_hermite_form(d)
             diag = [d[i][i] for i in range(min(r, c)) if d[i][i]]
             for a, b in zip(diag, diag[1:]):
                 assert b % a == 0
@@ -118,11 +118,17 @@ class TestRelationLattice:
         with pytest.raises(Disconnected):
             relation_lattice(disconnected)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_rank_is_colored_minus_one(self, n):
-        for g in enumerate_strata(MULT(n)):
+    @pytest.mark.parametrize(
+        "space", [pytest.param(MULT(n), id=str(n)) for n in range(2, 6)]
+        + [pytest.param(SCALED(n), id=str(SCALED(n))) for n in range(2, 5)])
+    def test_rank_is_colored_minus_one(self, space):
+        # the rank is read off the tree; Bareiss elimination is the
+        # reference
+        for g in enumerate_strata(space):
             colored = sum(1 for c in g.color.values() if c is Color.COLORED)
-            assert relation_lattice(g).rank == colored - 1
+            rel = relation_lattice(g)
+            assert rel.rank == colored - 1
+            assert rel.rank == (frac_rank(rel.matrix) if rel.matrix else 0)
 
 
 class TestCone:

@@ -28,6 +28,7 @@ from treelevel.strata import (
     SCALED,
     closure_poset,
     count_strata,
+    enumerate_strata,
 )
 
 MAX_N = 12
@@ -234,3 +235,76 @@ def test_cone_faces_are_the_strata_above(space):
                                             for d in above[k]), g
         checked += 1
     assert checked
+
+
+# -- Keel's Poincaré polynomials -----------------------------------------
+#
+# The open M_0,k has E-polynomial prod_{j=2..k-2} (q - j) (Getzler,
+# "Operads and moduli spaces of genus 0 Riemann surfaces", 1995), and a
+# stratum of M0(n) is the product of the open moduli of its vertices.
+# Summed over the strata, this must equal Keel's recursion P_3 = 1,
+# P_{n+1} = (1 + q) P_n + (q/2) sum_{j=2..n-2} C(n, j) P_{j+1} P_{n-j+1}
+# (Keel, Trans. AMS 330, 1992).  Unlike a count, this reads the valence
+# of every vertex of every stratum.
+
+KEEL = {3: [1], 4: [1, 1], 5: [1, 5, 1], 6: [1, 16, 16, 1],
+        7: [1, 42, 127, 42, 1]}
+
+
+def _coeffs(poly):
+    """The coefficient list of a polynomial in q given as {power: c}."""
+    return [poly.get(i, 0) for i in range(max(poly) + 1)]
+
+
+def keel_polynomials(top):
+    """Keel's P_3..P_top as {power of q: coefficient}."""
+    p = {3: {0: 1}}
+    for n in range(3, top):
+        nxt = _poly_mul({0: 1, 1: 1}, p[n])
+        half = {}
+        for j in range(2, n - 1):
+            _poly_add(half, _poly_mul(p[j + 1], p[n - j + 1]),
+                      math.comb(n, j))
+        assert all(c % 2 == 0 for c in half.values())
+        _poly_add(nxt, {i + 1: c // 2 for i, c in half.items()})
+        p[n + 1] = nxt
+    return p
+
+
+@pytest.mark.parametrize("n", sorted(KEEL))
+def test_m0_strata_sum_to_keels_polynomial(n):
+    total = {}
+    for g in enumerate_strata(M0(n)):
+        e = {0: 1}
+        for k in g.valences().values():
+            for j in range(2, k - 1):
+                e = _poly_mul(e, {0: -j, 1: 1})
+        _poly_add(total, e)
+    assert _coeffs(total) == KEEL[n]
+    assert _coeffs(keel_polynomials(n)[n]) == KEEL[n]
+
+
+# -- the diamond property ------------------------------------------------
+#
+# Each rank-2 interval of a closure poset, a stratum and a stratum two
+# collapses up from it, has exactly two strata in between: the face
+# lattice of a cone has this property (Ziegler, *Lectures on Polytopes*,
+# ch. 2), and it is the only oracle here that reaches the m0 and fm
+# posets.
+
+DIAMOND_SPACES = ([M0(n) for n in range(3, 6)] + [FM(n) for n in range(6)]
+                  + [MULT(n) for n in range(1, 6)]
+                  + [SCALED(n) for n in range(6)])
+
+
+@pytest.mark.parametrize("space", DIAMOND_SPACES, ids=str)
+def test_rank_two_intervals_are_diamonds(space):
+    poset = closure_poset(space)
+    middles = Counter()
+    for k, ups in poset.covers.items():
+        for m in ups:
+            for top in poset.covers[m]:
+                middles[k, top] += 1
+    bad = [(poset.strata[k], poset.strata[top], c)
+           for (k, top), c in middles.items() if c != 2]
+    assert not bad, bad[0]
