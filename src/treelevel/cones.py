@@ -37,11 +37,12 @@ from .linalg import (
 #: goes to the Smith form of the relation rows, one per colored vertex
 #: but one, and grows with about the third power of the edge count.
 #: The slowest shape tried, a star of colored leaves under an infinite
-#: vertex, classifies in 0.38-0.44 s at 200 edges on 2 shared vCPUs
-#: (1.0-1.15 s with a rank elimination and the Smith form's left
-#: transform, measured alongside); infinite vertices over three colored
-#: leaves, chains and stars over zero bubbles take about 0.25 s or
-#: less.  Strata reach at most 10 edges in mult(6) and 9 in scaled(5).
+#: vertex, classifies in 0.08-0.15 s at 200 edges on 2 shared vCPUs
+#: with Python 3.11 (0.23-0.38 s when each row step of the Smith form
+#: rebuilds the whole row, measured alongside); infinite vertices over
+#: three colored leaves, chains and stars over zero bubbles take about
+#: 0.11 s or less.  Strata reach at most 10 edges in mult(6) and 9 in
+#: scaled(5).
 MAX_CONE_EDGES = 200
 
 

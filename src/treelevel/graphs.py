@@ -12,16 +12,20 @@ once.  A rooted colored tree is the type of a scaled parametrized
 curve, with a root vertex in place of leg 0.
 
 The constructor, the one way in, refuses a nonzero genus and any
-non-integer id, label or root, so a modular graph stores no genus.
+non-integer id, label or root, a bool included, so a modular graph
+stores no genus.
 
 Values are immutable after construction: ``legs`` and ``color`` are
 read-only mappings over dicts built in the constructor, and rebinding an
 attribute raises ``AttributeError``.  So a graph that passed
 :func:`validate` stays valid, and :func:`require_valid` runs the check
-once per value, on its first call.  :func:`validate` decides a graph in
-one accepting pass when it is one tree that obeys every rule of its
-kind, and walks the full per-leg check only for the rest, to list their
-problems.  All operations here are pure.
+once per value, on its first call.  :func:`validate` decides a graph
+that is one tree in one depth-first walk from its top, and returns there
+when the tree obeys every rule of its kind.  Any other graph, a refused
+one or a forest, is explained from the parents that walk recorded, with
+one more pass to list the components and, on the colored kinds, a walk
+up the path of each leg the rules concern.  All operations here are
+pure.
 """
 
 from __future__ import annotations
@@ -65,6 +69,14 @@ def _set_fields(g, kind, vertex_ids, color, edges, legs, root):
     init(g, "_valid", False)
 
 
+def _int(what, value):
+    """``value`` through :func:`operator.index`; a bool, which ``index``
+    would read as 0 or 1, is refused."""
+    if isinstance(value, bool):
+        raise InvalidGraph(f"{what} {value!r} is not an integer")
+    return index(value)
+
+
 class MarkedGraph:
     """A graph with decorated vertices, finite edges and labelled legs.
 
@@ -76,7 +88,8 @@ class MarkedGraph:
     ``edges`` is a sequence of unordered vertex-id pairs; the given order
     is kept and edge indices refer to it.  ``legs`` maps leg label to the vertex carrying it.  Every
     number goes through :func:`operator.index`, so a float raises
-    ``TypeError`` rather than being truncated.
+    ``TypeError`` rather than being truncated, and a bool, which
+    ``index`` would read as 0 or 1, raises ``InvalidGraph``.
 
     ``legs`` and ``color`` are read-only mappings and no attribute can be
     rebound after construction.
@@ -91,10 +104,10 @@ class MarkedGraph:
         ids = []
         items = vertices.items() if isinstance(vertices, dict) else vertices
         for v, decor in items:
-            v = index(v)
+            v = _int("vertex id", v)
             ids.append(v)
             if kind is Kind.MODULAR:
-                if decor is not None and index(decor) != 0:
+                if decor is not None and _int("genus", decor) != 0:
                     raise InvalidGraph(f"vertex {v} has genus {decor}, not 0")
             elif kind in COLORED_KINDS:
                 if decor is None:
@@ -105,12 +118,13 @@ class MarkedGraph:
                                    f"decoration, not {decor!r}")
         if len(set(ids)) != len(ids):
             raise InvalidGraph("duplicate vertex ids")
-        ends = [(index(a), index(b)) for a, b in edges]
+        ends = [(_int("edge end", a), _int("edge end", b)) for a, b in edges]
         _set_fields(
             self, kind, tuple(sorted(ids)), color,
             tuple((a, b) if a <= b else (b, a) for a, b in ends),
-            {index(l): index(v) for l, v in (legs or {}).items()},
-            None if root is None else index(root))
+            {_int("leg label", l): _int("leg vertex", v)
+             for l, v in (legs or {}).items()},
+            None if root is None else _int("root", root))
 
     @classmethod
     def _trusted(cls, kind, decorations, edges, legs, root):
@@ -123,7 +137,8 @@ class MarkedGraph:
         ``(a, b)`` with ``a <= b``; ``legs`` maps int labels to vertex
         ids; ``root`` is an id or None.  The dicts pass to the graph and
         the caller must not keep them.  Nothing is checked here:
-        :func:`require_valid` still runs :func:`validate` once.
+        :func:`require_valid` still runs :func:`validate` once, which
+        decides a valid tree in one walk.
 
         The strata recursion builds each stratum this way, and every
         morphism in :mod:`treelevel.morphisms` builds its result this
@@ -238,13 +253,6 @@ class MarkedGraph:
 
     def is_connected(self):
         return len(self.components()) <= 1
-
-    def is_forest(self, comps):
-        """True when there are no loops, parallel edges or cycles;
-        ``comps`` are the graph's :meth:`components`."""
-        # a forest has #vertices - #components edges; components ignore
-        # loops, so a loop, a parallel edge or a cycle leaves more
-        return len(self.edges) == len(self.vertex_ids) - len(comps)
 
     # -- equality / hashing ----------------------------------------------
 
@@ -398,7 +406,9 @@ def rooted_colored_tree(colors, edges=(), legs=None, root=0):
 
 # -- validation --------------------------------------------------------------
 
-def _check_references(g, problems):
+def _check_references(g):
+    """The unknown references and negative labels of ``g``, in order."""
+    problems = []
     vset = set(g.vertex_ids)
     for i, (a, b) in enumerate(g.edges):
         if a not in vset or b not in vset:
@@ -410,6 +420,7 @@ def _check_references(g, problems):
             problems.append(f"leg label {l} is negative")
     if g.root is not None and g.root not in vset:
         problems.append(f"root {g.root} is not a vertex")
+    return problems
 
 
 def _parents(adj, top):
@@ -439,16 +450,12 @@ def _path_up(parents, v):
 
 def _monotone_path_problems(g, leg, parents, problems):
     """Check the color pattern on the path from ``leg``'s vertex up to
-    the top of ``parents``.
+    the top of ``parents``, which must hold that vertex.
 
     Exactly one colored vertex; zero scaling strictly before it and
     infinite scaling strictly after it.
     """
-    try:
-        path = _path_up(parents, g.legs[leg])
-    except KeyError:
-        problems.append(f"leg {leg} disconnected from the root side")
-        return
+    path = _path_up(parents, g.legs[leg])
     colors = [g.color[v] for v in path]
     hits = [i for i, c in enumerate(colors) if c is Color.COLORED]
     if len(hits) != 1:
@@ -465,224 +472,162 @@ def _monotone_path_problems(g, leg, parents, problems):
                 f"vertex {path[i]} on the root side must have infinite scaling")
 
 
-def _component_edge_rule(g, comp, problems, allowed_zero_infty=()):
-    """No zero-infinity and no colored-colored edges inside a component."""
-    comp = set(comp)
-    for i, (a, b) in enumerate(g.edges):
-        if a not in comp:
-            continue
-        ca, cb = g.color[a], g.color[b]
-        if ((ca is Color.ZERO and cb is Color.INFINITY
-             or ca is Color.INFINITY and cb is Color.ZERO)
-                and (a, b) not in allowed_zero_infty):
-            problems.append(f"edge {i} joins zero and infinite scaling")
-        if ca is Color.COLORED and cb is Color.COLORED:
-            problems.append(f"edge {i} joins two colored vertices")
+def validate(g):
+    """Return the list of violated invariants (empty when the graph is valid).
 
+    One depth-first walk hangs the graph from its top (leg 0's vertex,
+    else the root, else the first vertex) and records each vertex's
+    parent.  On the colored kinds it also reads the scaling pattern
+    downward: infinite vertices have infinite or colored children,
+    colored and zero vertices have zero children, and only the infinite
+    root of a rooted colored tree may also have zero children.  A graph
+    that is one tree (``|V| - 1`` edges reaching every vertex), obeys
+    its kind's leg-0 and root rules, keeps that pattern, has no zero top
+    and no leg but 0 on an infinite vertex is valid, and ``[]`` returns
+    at once: every path from a leg up to the top then crosses one
+    colored vertex, with zero scaling below it and infinite above.
 
-def _uniform_zero_or_infinite(g, comp):
-    """Whether the vertices of ``comp`` all have zero scaling or all
-    infinite scaling."""
-    first = g.color[comp[0]]
-    return (first is not Color.COLORED
-            and all(g.color[v] is first for v in comp))
-
-
-def _accepts(g):
-    """True only when ``g`` is one tree that satisfies every rule of its
-    kind, decided in one depth-first pass.
-
-    The pass checks the references (no negative leg label), the leg-0
-    and root rules, that the ``|V| - 1`` edges reach every vertex from
-    the top (leg 0's vertex, else the root, else the first vertex) and,
-    on the colored kinds, the scaling pattern read downward from the
-    top: infinite vertices have infinite or colored children, colored
-    and zero vertices have zero children, and only the infinite root of
-    a rooted colored tree may also have zero children.  The top is not
-    zero scaling and no leg but 0 sits on an infinite vertex.  So every
-    path from a leg up to the top crosses one colored vertex, with zero
-    scaling below it and infinite scaling above, and no edge joins zero
-    to infinite or colored to colored scaling.
-
-    This is stricter than :func:`validate`: a disconnected forest, or an
-    infinite vertex below a colored one, is refused here and left to
-    the full check.
+    Any other graph has its problems listed in a fixed order.  Unknown
+    references or negative labels, found while the adjacency is built,
+    are listed alone.  Else come the kind, leg-0 and root rules and
+    whether the graph is a forest; then, on the colored kinds, each
+    component in order of its least vertex.  Away from the top a
+    component must be uniformly zero or infinite.  In the top's
+    component, the path from each leg but 0 up to the top is walked over
+    the parents (below an infinite root, only in subtrees that are not
+    all zero), and the edges are checked.  So a valid forest, or an
+    infinite vertex below a colored one, gives ``[]`` here as well.
+    :func:`require_valid` runs this once per value.
     """
-    ids, edges, legs, root = g.vertex_ids, g.edges, g.legs, g.root
-    if (len(edges) != len(ids) - 1
-            or (root is not None) != (g.kind in ROOTED_KINDS)
-            or (0 in legs) != (g.kind is Kind.COLORED_TREE)):
-        return False
+    kind, ids, edges, legs, root = g.kind, g.vertex_ids, g.edges, g.legs, g.root
     adj = {v: [] for v in ids}
     try:
         for a, b in edges:
             adj[a].append(b)
             adj[b].append(a)
     except KeyError:
-        return False
+        return _check_references(g)
     if root is not None and root not in adj:
-        return False
+        return _check_references(g)
     for l, v in legs.items():
         if l < 0 or v not in adj:
-            return False
-    top = legs[0] if 0 in legs else ids[0] if root is None else root
-    seen = {top}
-    stack = [top]
-    if g.kind not in COLORED_KINDS:
-        while stack:
-            for x in adj[stack.pop()]:
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        return len(seen) == len(ids)
+            return _check_references(g)
 
-    color = g.color
-    inf, zero = Color.INFINITY, Color.ZERO
-    if color[top] is zero:
-        return False
-    for l, v in legs.items():
-        if l and color[v] is inf:
-            return False
-    while stack:
-        w = stack.pop()
-        # a finite parent has only zero children, an infinite one only
-        # infinite or colored children, but for the infinite root
-        finite = color[w] is not inf
-        any_below = w == root and not finite
-        for x in adj[w]:
-            if x not in seen:
-                if (color[x] is zero) is not finite and not any_below:
-                    return False
-                seen.add(x)
-                stack.append(x)
-    return len(seen) == len(ids)
-
-
-def validate(g):
-    """Return the list of violated invariants (empty when the graph is valid).
-
-    One accepting pass, :func:`_accepts`, decides the graphs that are one
-    tree obeying every rule of their kind, and returns ``[]`` for them.
-    Every other graph goes through the full per-leg check below, which
-    lists its problems.  :func:`require_valid` runs this once per value.
-    """
-    if _accepts(g):
-        return []
-    return _problems(g)
-
-
-def _problems(g):
-    """The full check behind :func:`validate`: every problem of ``g``,
-    with the colored kinds' paths walked leg by leg."""
     problems = []
-    _check_references(g, problems)
-    if problems:
-        return problems
-
-    labels = sorted(g.legs)
-    if g.kind is Kind.COLORED_TREE:
-        if 0 not in labels:
+    if kind is Kind.COLORED_TREE:
+        if 0 not in legs:
             problems.append("colored tree is missing the root leg 0")
-        if g.root is not None:
+        if root is not None:
             problems.append("colored trees carry leg 0, not a root vertex")
     else:
-        if 0 in labels:
+        if 0 in legs:
             problems.append("leg 0 is reserved for the colored-tree kind")
-        if g.kind in ROOTED_KINDS:
-            if g.root is None:
+        if kind in ROOTED_KINDS:
+            if root is None:
                 problems.append("rooted kind needs a root vertex")
-        elif g.root is not None:
+        elif root is not None:
             problems.append("only rooted kinds carry a root vertex")
-
-    # every kind is a forest; one adjacency and one list of components
-    # serve every check below
-    adj = g.adjacency()
-    comps = g.components(adj)
-    if not g.is_forest(comps):
-        problems.append("tree kinds must be loop-free, multi-edge-free forests")
-        return problems
-    if problems or g.kind not in COLORED_KINDS:
+    if not ids:
         return problems
 
-    if g.kind is Kind.COLORED_TREE:
-        v0 = g.legs[0]
-        for comp in comps:
-            if v0 in comp:
-                if g.color[v0] is Color.ZERO:
-                    problems.append("leg 0 sits on a zero-scaling vertex")
-                parents = _parents(adj, v0)
-                for l in g.legs:
-                    if l != 0 and g.legs[l] in comp:
-                        _monotone_path_problems(g, l, parents, problems)
-                _component_edge_rule(g, comp, problems)
-            elif not _uniform_zero_or_infinite(g, comp):
-                problems.append(
-                    f"component {comp} away from leg 0 must be uniformly "
-                    "zero or infinite scaling")
-        return problems
-
-    # rooted colored tree
-    r = g.root
-    rc = g.color[r]
-    if rc is Color.ZERO:
-        problems.append("root vertex must be colored or infinite scaling")
-        return problems
-    for comp in comps:
-        if r not in comp:
-            if not _uniform_zero_or_infinite(g, comp):
-                problems.append(
-                    f"component {comp} away from the root must be uniformly "
-                    "zero or infinite scaling")
-            continue
-        if rc is Color.COLORED:
-            for v in comp:
-                if v != r and g.color[v] is not Color.ZERO:
-                    problems.append(
-                        f"vertex {v}: with a colored root all other vertices "
-                        "have zero scaling")
-        else:
-            # root at infinite scaling: each subtree off the root is a
-            # colored tree with the attaching edge as its leg 0, or a
-            # zero-only tree
-            allowed = set()
-            parents = _parents(adj, r)
-            for w in set(adj[r]):
-                sub = _subtree_vertices(r, w, adj)
-                if all(g.color[v] is Color.ZERO for v in sub):
-                    allowed.add((min(r, w), max(r, w)))
-                    continue
-                for l, lv in g.legs.items():
-                    if lv in sub:
-                        _monotone_path_problems(g, l, parents, problems)
-            for l, lv in g.legs.items():
-                if lv == r:
-                    problems.append(
-                        f"leg {l} sits on the infinite-scaling root")
-            _component_edge_rule(g, comp, problems, allowed_zero_infty=allowed)
-    return problems
-
-
-def _subtree_vertices(root, child, adj):
-    """Vertices of the subtree containing ``child`` once ``root`` is removed."""
-    seen = {root, child}
-    stack = [child]
+    top = legs[0] if 0 in legs else ids[0] if root is None else root
+    parents = {top: None}
+    stack = [top]
+    colored, bent = kind in COLORED_KINDS, False
+    if colored:
+        color, inf, zero = g.color, Color.INFINITY, Color.ZERO
+        bent = color[top] is zero
+        for l, v in legs.items():
+            if l and color[v] is inf:
+                bent = True
+        while stack:
+            w = stack.pop()
+            # a finite parent has only zero children, an infinite one
+            # only infinite or colored children, but for the infinite root
+            finite = color[w] is not inf
+            any_below = w == root and not finite
+            for x in adj[w]:
+                if x not in parents:
+                    if (color[x] is zero) is not finite and not any_below:
+                        bent = True
+                    parents[x] = w
+                    stack.append(x)
     while stack:
         w = stack.pop()
         for x in adj[w]:
-            if x not in seen:
-                seen.add(x)
+            if x not in parents:
+                parents[x] = w
                 stack.append(x)
-    seen.discard(root)
-    return seen
+    if (not problems and not bent and len(parents) == len(ids)
+            and len(edges) == len(ids) - 1):
+        return problems
+
+    comps = g.components(adj)
+    if len(edges) != len(ids) - len(comps):
+        # components ignore loops, so a loop, a parallel edge or a cycle
+        # leaves more edges than a forest has
+        problems.append("tree kinds must be loop-free, multi-edge-free forests")
+        return problems
+    if problems or not colored:
+        return problems
+    if color[top] is zero and root is not None:
+        problems.append("root vertex must be colored or infinite scaling")
+        return problems
+
+    # below the top, ``branch`` names the top's child a vertex hangs from
+    branch = {}
+    for v, p in parents.items():
+        if p is not None:
+            branch[v] = v if p == top else branch[p]
+    allowed = ()
+    here = []
+    if kind is Kind.COLORED_TREE:
+        if color[top] is zero:
+            here.append("leg 0 sits on a zero-scaling vertex")
+        for l, v in legs.items():
+            if l and v in parents:
+                _monotone_path_problems(g, l, parents, here)
+    elif color[top] is Color.COLORED:
+        here = [f"vertex {v}: with a colored root all other vertices have "
+                "zero scaling" for v in sorted(branch) if color[v] is not zero]
+    else:
+        # each subtree off the infinite root is a colored tree with the
+        # attaching edge as its leg 0, or a zero-only tree
+        mixed = {branch[v] for v in branch if color[v] is not zero}
+        allowed = {(min(top, w), max(top, w)) for w in adj[top]
+                   if w not in mixed}
+        # child by child, in the order of the set of children
+        for w in set(adj[top]):
+            for l, v in legs.items():
+                if w in mixed and branch.get(v) == w:
+                    _monotone_path_problems(g, l, parents, here)
+        here += [f"leg {l} sits on the infinite-scaling root"
+                 for l, v in legs.items() if v == top]
+    if kind is Kind.COLORED_TREE or color[top] is inf:
+        for i, (a, b) in enumerate(edges):
+            if a in parents:
+                if {color[a], color[b]} == {zero, inf} and (a, b) not in allowed:
+                    here.append(f"edge {i} joins zero and infinite scaling")
+                if color[a] is color[b] is Color.COLORED:
+                    here.append(f"edge {i} joins two colored vertices")
+
+    away = "leg 0" if kind is Kind.COLORED_TREE else "the root"
+    for comp in comps:
+        if comp[0] in parents:
+            problems += here
+        elif {color[v] for v in comp} not in ({zero}, {inf}):
+            problems.append(f"component {comp} away from {away} must be "
+                            "uniformly zero or infinite scaling")
+    return problems
 
 
 def require_valid(g):
     """Raise InvalidGraph unless ``g`` is valid.
 
-    :func:`validate` runs on the first call for a value: its accepting
-    pass, and the full per-leg check only when that pass refuses.  A
-    graph cannot change, so a success is recorded on it and later calls
-    return at once.  An invalid graph is checked again on every call.
+    :func:`validate` runs on the first call for a value, and decides a
+    valid tree in one walk.  A graph cannot change, so a success is recorded on it and
+    later calls return at once.  An invalid graph is checked again on
+    every call.
     """
     if g._valid:
         return

@@ -172,12 +172,17 @@ def smith_normal_form(mat):
                 a[t] = [-x for x in a[t]]
             top = a[t]
             p = top[t]
+            # a row step touches only the columns where the pivot row is
+            # nonzero, and never V
+            nonzero = [j for j, y in enumerate(top) if y]
             dirty = False
             for i in range(t + 1, r):
-                if a[i][t] != 0:
-                    f = -(a[i][t] // p)
-                    a[i] = [x + f * y for x, y in zip(a[i], top)]
-                    if a[i][t] != 0:
+                row = a[i]
+                if row[t] != 0:
+                    f = -(row[t] // p)
+                    for j in nonzero:
+                        row[j] += f * top[j]
+                    if row[t] != 0:
                         dirty = True
             for j in range(t + 1, c):
                 if top[j] != 0:

@@ -11,7 +11,9 @@ Every collapse and forget merges vertices through one builder,
 :func:`_merge`, which works on plain fields (decorations, edges, legs)
 and builds no graph.  The inputs are valid graphs, so each result is
 built once from its fields by :meth:`MarkedGraph._trusted`, with no
-second normalization, and then passes one :func:`validate`.
+second normalization, and then passes one :func:`validate`: every
+result is one tree obeying its kind's rules, so that one walk of it
+returns at once.
 """
 
 from __future__ import annotations

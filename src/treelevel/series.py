@@ -30,21 +30,42 @@ class SeriesRing:
     ``q_cap`` the q exponent (a rational; resolution 1/q_denominator),
     ``h_cap`` the power of hbar^-1.  ``q_denominator``, ``t_cap`` and
     ``h_cap`` are integers: a float is refused, not truncated.
+
+    A ring is immutable: no attribute can be set or deleted after
+    construction, so its hash never changes.
     """
 
+    __slots__ = ("tvars", "q_denominator", "t_cap", "q_cap_num", "h_cap")
+
     def __init__(self, tvars=(), q_denominator=1, t_cap=6, q_cap=0, h_cap=0):
-        self.tvars = tuple(tvars)
-        self.q_denominator = _integer("q_denominator", q_denominator)
-        if self.q_denominator < 1:
+        tvars = tuple(tvars)
+        q_denominator = _integer("q_denominator", q_denominator)
+        if q_denominator < 1:
             raise ValueError("q denominator must be positive")
-        self.t_cap = _integer("t_cap", t_cap)
+        t_cap = _integer("t_cap", t_cap)
         q_cap = Fraction(q_cap)
-        self.q_cap_num = int(q_cap * self.q_denominator)
-        self.h_cap = _integer("h_cap", h_cap)
-        for name, cap in (("t_cap", self.t_cap), ("q_cap", q_cap),
-                          ("h_cap", self.h_cap)):
+        h_cap = _integer("h_cap", h_cap)
+        for name, cap in (("t_cap", t_cap), ("q_cap", q_cap),
+                          ("h_cap", h_cap)):
             if cap < 0:
                 raise InvalidArgument(f"{name} must be nonnegative, not {cap}")
+        init = object.__setattr__
+        init(self, "tvars", tvars)
+        init(self, "q_denominator", q_denominator)
+        init(self, "t_cap", t_cap)
+        init(self, "q_cap_num", int(q_cap * q_denominator))
+        init(self, "h_cap", h_cap)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SeriesRing is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"SeriesRing is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return (SeriesRing, (self.tvars, self.q_denominator, self.t_cap,
+                             Fraction(self.q_cap_num, self.q_denominator),
+                             self.h_cap))
 
     def __eq__(self, other):
         return isinstance(other, SeriesRing) and (

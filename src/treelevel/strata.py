@@ -368,9 +368,10 @@ def iter_strata(space):
     again, and the dimension and codimension are read off the
     placement, apart from each other, with the values of
     :func:`stratum_dimension` and :func:`stratum_codimension`.  Each
-    graph still passes one full :func:`~treelevel.graphs.validate` and
-    one :func:`is_stable` before it is yielded, and raises as those
-    functions do.  Only the nodes are held, never the list of graphs.
+    graph still passes one :func:`~treelevel.graphs.validate`, a single
+    walk that returns at once on a stratum, and one :func:`is_stable`
+    before it is yielded, and raises as those functions do.  Only the
+    nodes are held, never the list of graphs.
     """
     # the keys and the memo of subtree codes go before any graph is built
     return _Strata(space, [node for _, node in _keyed_nodes(space)])
@@ -381,7 +382,7 @@ class _Strata:
 
     Each node is placed once; the graph, its dimension and its
     codimension come from that placement, and the graph is checked by
-    :func:`is_stable`, which runs its one full validate first.
+    :func:`is_stable`, which runs its one validate walk first.
     """
 
     __slots__ = ("space", "nodes")

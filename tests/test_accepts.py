@@ -1,24 +1,33 @@
-"""The accepting pass in front of ``validate``.
+"""``graphs.validate`` against the full check it replaced.
 
-``graphs._accepts`` decides in one pass the graphs that are one tree
-obeying every rule of their kind; ``graphs._problems``, the full
-per-leg check, runs only on the rest.  The pass must be sound (it never
-accepts a graph the full check faults) and in use (it accepts every
-stratum and every morphism result, or the fast path is dead code).
+``validate`` decides a valid tree in one walk and explains any other
+graph from the parents that walk recorded.
+``reference_validate.reference`` is the earlier full check, kept
+verbatim, which walked the component and each leg's path on its own.
+Their
+problem lists must be equal, word for word and in order, on every
+stratum and morphism result, on seeded perturbations of strata and on
+seeded random graphs of all four kinds.  The one walk must also be in
+use: every stratum and every morphism result is decided on its fast
+exit, before any component is listed.  The test names keep the words
+of the earlier design: "accepts" means ``validate`` returns ``[]``, and
+"the pass" is the walk's fast exit.
 """
 
 import functools
 import random
+from unittest import mock
 
 import pytest
 
+from reference_validate import reference
 from treelevel.errors import TreelevelError
 from treelevel.graphs import (
     COLORED_KINDS,
+    ROOTED_KINDS,
     Color,
+    Kind,
     MarkedGraph,
-    _accepts,
-    _problems,
     colored_tree,
     rooted_colored_tree,
     validate,
@@ -68,6 +77,22 @@ def derived(g):
     return outs
 
 
+def assert_matches(sample):
+    """``validate`` equals the reference on every graph of ``sample``;
+    returns how many are valid."""
+    lists = [validate(g) for g in sample]
+    assert [g for g, p in zip(sample, lists) if p != reference(g)] == []
+    return lists.count([])
+
+
+def decided_in_one_walk(sample):
+    """The problem lists of ``sample``, with listing components made to
+    fail: only the fast exit of the walk can return."""
+    with mock.patch.object(MarkedGraph, "components",
+                           side_effect=AssertionError("left the walk")):
+        return [validate(g) for g in sample]
+
+
 # -- perturbations -------------------------------------------------------------
 #
 # Each takes the fields of a graph (decorations, edges, legs, root) and
@@ -100,7 +125,7 @@ def _add_edge(rng, kind, decor, edges, legs, root):
 
 
 def _move_edge(rng, kind, decor, edges, legs, root):
-    # the edge count stays, so only the reach of the pass can tell
+    # the edge count stays, so only the reach of the walk can tell
     _drop_edge(rng, kind, decor, edges, legs, root)
     return _add_edge(rng, kind, decor, edges, legs, root)
 
@@ -152,35 +177,98 @@ def perturbed(seed, count, spaces=PERTURBED_SPACES):
     return out
 
 
-def assert_sound(graphs):
-    """No graph the pass accepts has a problem; returns how many it
-    accepted."""
-    accepted = [g for g in graphs if _accepts(g)]
-    unsound = [g for g in accepted if _problems(g)]
-    assert unsound == []
-    return len(accepted)
+# -- random graphs ----------------------------------------------------------------
+
+_BELOW = {Color.INFINITY: (Color.INFINITY, Color.COLORED),
+          Color.COLORED: (Color.ZERO,), Color.ZERO: (Color.ZERO,)}
 
 
-# -- soundness -------------------------------------------------------------------
+def random_graph(rng):
+    """A seeded random graph of any kind: a random tree whose colors
+    mostly keep the downward scaling pattern, with now and then an edge
+    cut (a forest), a stray edge (a loop, a parallel edge or an unknown
+    end), a leg moved or relabelled, or the root or leg 0 changed."""
+    kind = rng.choice(list(Kind))
+    n = rng.randint(1, 8)
+    parent = {v: rng.randrange(v) for v in range(1, n)}
+    color = {0: rng.choice((Color.INFINITY, Color.INFINITY, Color.COLORED,
+                            Color.ZERO))}
+    for v in range(1, n):
+        up = color[parent[v]]
+        if rng.random() < 0.1:
+            color[v] = rng.choice(list(Color))
+        elif parent[v] == 0 and kind is Kind.ROOTED_COLORED_TREE:
+            # any child under the root: an infinite root may hold zero ones
+            color[v] = rng.choice(list(Color))
+        else:
+            color[v] = rng.choice(_BELOW[up])
+    edges = [(parent[v], v) for v in range(1, n)]
+    rng.shuffle(edges)
+    while edges and rng.random() < 0.3:
+        edges.pop(rng.randrange(len(edges)))
+    if rng.random() < 0.1:
+        edges.append((rng.randint(0, n), rng.randint(0, n - 1)))
+    ids = list(range(n))
+    fine = [v for v in ids if color[v] is not Color.INFINITY] or ids
+    legs = {l: rng.choice(fine if rng.random() < 0.9 else ids)
+            for l in range(1, rng.randint(1, 6))}
+    if rng.random() < 0.05:
+        legs[rng.choice((-1, 0, 1))] = rng.randint(0, n)
+    root = 0 if kind in ROOTED_KINDS else None
+    if kind is Kind.COLORED_TREE:
+        legs[0] = 0
+    if rng.random() < 0.05:
+        root = rng.choice((None, 0, rng.randint(0, n)))
+    if rng.random() < 0.05:
+        if legs.pop(0, None) is None:
+            legs[0] = 0
+    relabel = ids[:]
+    rng.shuffle(relabel)
+    relabel += range(n, n + 2)
+    if kind in COLORED_KINDS:
+        decor = {relabel[v]: color[v] for v in ids}
+    else:
+        decor = {relabel[v]: 0 if kind is Kind.MODULAR else None for v in ids}
+    return MarkedGraph(
+        kind, decor, [(relabel[a], relabel[b]) for a, b in edges],
+        {l: relabel[v] for l, v in legs.items()},
+        None if root is None else relabel[root])
+
+
+def random_graphs(seed, count):
+    rng = random.Random(seed)
+    return [random_graph(rng) for _ in range(count)]
+
+
+# -- the reference ---------------------------------------------------------------
 
 @pytest.mark.parametrize("space", SOUND_SPACES, ids=str)
 def test_sound_on_strata(space):
-    assert assert_sound(strata(space)) == len(strata(space))
+    assert assert_matches(strata(space)) == len(strata(space))
 
 
 def test_sound_on_perturbed_strata():
-    graphs = perturbed(1901, 20000)
-    accepted = assert_sound(graphs)
-    # both sides of the pass are exercised
-    assert 2000 < accepted < 18000
-    assert sum(validate(g) == [] for g in graphs) > accepted
+    sample = perturbed(1901, 20000)
+    valid = assert_matches(sample)
+    # both verdicts are exercised
+    assert 2000 < valid < 18000
+
+
+def test_matches_reference_on_random_graphs():
+    sample = random_graphs(2301, 20000)
+    valid = assert_matches(sample)
+    forests = [g for g in sample if validate(g) == []
+               and len(g.components()) > 1]
+    assert 4000 < valid < 16000
+    assert len(forests) > 1000
+    assert {g.kind for g in forests} == set(Kind)
 
 
 @pytest.mark.slow
 def test_sound_on_m0_7_and_more_perturbations():
-    assert assert_sound(strata(M0(7))) == len(strata(M0(7)))
-    assert assert_sound(perturbed(1902, 60000, PERTURBED_SPACES
-                                  + [MULT(5), SCALED(5)])) > 6000
+    assert assert_matches(strata(M0(7))) == len(strata(M0(7)))
+    assert assert_matches(perturbed(1902, 60000, PERTURBED_SPACES
+                                    + [MULT(5), SCALED(5)])) > 6000
 
 
 # -- use -------------------------------------------------------------------------
@@ -191,28 +279,26 @@ USE_SPACES = ([MULT(n) for n in range(1, 7)] + [SCALED(n) for n in range(6)]
 
 @pytest.mark.parametrize("space", USE_SPACES, ids=str)
 def test_accepts_every_stratum(space):
-    assert all(_accepts(g) for g in strata(space))
+    assert not any(decided_in_one_walk(strata(space)))
 
 
 @pytest.mark.parametrize("space", [
     pytest.param(s, marks=pytest.mark.slow) if s == MULT(6) else s
     for s in USE_SPACES], ids=str)
 def test_accepts_every_morphism_result(space):
-    count = 0
-    for g in strata(space):
-        outs = derived(g)
-        assert all(_accepts(out) for out in outs)
-        count += len(outs)
-    assert count or len(strata(space)) <= 2
+    outs = [out for g in strata(space) for out in derived(g)]
+    assert not any(decided_in_one_walk(outs))
+    assert assert_matches(outs) == len(outs)
+    assert outs or len(strata(space)) <= 2
 
 
-# -- what falls back -------------------------------------------------------------
+# -- what is explained -------------------------------------------------------------
 
 def test_infinite_root_may_hold_zero_subtrees():
     g = rooted_colored_tree(
         {0: Color.INFINITY, 1: Color.ZERO, 2: Color.COLORED},
         [(0, 1), (0, 2)], {1: 1, 2: 1, 3: 2}, root=0)
-    assert _accepts(g) and _problems(g) == []
+    assert decided_in_one_walk([g]) == [[]] and reference(g) == []
 
 
 @pytest.mark.parametrize("g", [
@@ -224,14 +310,16 @@ def test_infinite_root_may_hold_zero_subtrees():
                           {0: 0, 1: 1, 2: 1}), 0, (3, 4)),
 ], ids=["colored-over-infinite", "forest"])
 def test_valid_graphs_outside_the_pass_fall_back(g):
-    assert not _accepts(g)
-    assert validate(g) == []
+    """Valid graphs that leave the walk's fast exit (the accepting pass
+    of the name) are still decided valid."""
+    with pytest.raises(AssertionError, match="left the walk"):
+        decided_in_one_walk([g])
+    assert validate(g) == [] == reference(g)
 
 
 def test_refused_graph_gets_the_full_problems():
     g = colored_tree({0: Color.ZERO, 1: Color.COLORED}, [(0, 1)],
                      {0: 0, 1: 1})
-    assert not _accepts(g)
-    assert validate(g) == [
+    assert validate(g) == reference(g) == [
         "leg 0 sits on a zero-scaling vertex",
         "vertex 0 on the root side must have infinite scaling"]

@@ -195,6 +195,37 @@ class TestConeCommand:
         assert main(["cone", "--graph", str(path)]) == 2
         assert f"leg key {key!r}" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("field, value, obj", [
+        # index() would read true as vertex 1, and the tree as valid
+        ("vertex id", "True", {"kind": "colored_tree",
+                       "vertices": [{"id": True, "color": "colored"}],
+                       "legs": {"0": 1, "1": 1}}),
+        ("leg vertex", "True", {"kind": "colored_tree",
+                        "vertices": [{"id": 1, "color": "colored"}],
+                        "legs": {"0": True, "1": 1}}),
+        ("edge end", "True", {"kind": "colored_tree",
+                      "vertices": [{"id": 0, "color": "infinity"},
+                                   {"id": 1, "color": "colored"},
+                                   {"id": 2, "color": "colored"}],
+                      "edges": [[0, True], [0, 2]],
+                      "legs": {"0": 0, "1": 1, "2": 2}}),
+        ("root", "False", {"kind": "rooted_colored_tree",
+                  "vertices": [{"id": 0, "color": "colored"},
+                               {"id": 1, "color": "zero"}],
+                  "edges": [[0, 1]], "legs": {"1": 1, "2": 1},
+                  "root": False}),
+        ("genus", "False", {"kind": "modular",
+                   "vertices": [{"id": 0, "genus": False}],
+                   "legs": {"1": 0, "2": 0, "3": 0}}),
+    ], ids=["vertex-id", "leg-vertex", "edge-end", "root", "genus"])
+    def test_boolean_for_an_integer_exits_two(self, field, value, obj,
+                                              tmp_path, capsys):
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(obj))
+        assert main(["cone", "--graph", str(path)]) == 2
+        assert (f"{field} {value} is not an integer"
+                in assert_one_line_error(capsys))
+
     def test_plain_leg_keys_still_parse(self, tmp_path, capsys):
         obj = {"kind": "colored_tree",
                "vertices": [{"id": 0, "color": "infinity"},

@@ -308,3 +308,76 @@ def test_rank_two_intervals_are_diamonds(space):
     bad = [(poset.strata[k], poset.strata[top], c)
            for (k, top), c in middles.items() if c != 2]
     assert not bad, bad[0]
+
+
+# -- real faces are polytope faces ---------------------------------------
+#
+# Call a stratum an interval stratum when the legs below each vertex form
+# an interval of 1..n, the tree hung from leg 0 (from leg n on m0, whose
+# legs below then lie in 1..n-1).  These strata are the faces of the real
+# locus: Stasheff's associahedron for M0(n), whose f-vector is Kirkman
+# and Cayley's dissection count C(n-3, k) C(n+k-1, k) / (k+1) (Cayley,
+# "On the partitions of a polygon", 1891), and the multiplihedron J_n for
+# mult(n) (Ma'u & Woodward, "Geometric realizations of the
+# multiplihedra", Compositio Math. 146, 2010; its vertex counts are OEIS
+# A121988).  The codimension is read off the tree: the edge count on m0,
+# and edges + 1 - #colored on mult.  Each f-vector obeys Euler-Poincaré,
+# sum over faces of (-1)^dim = 1 (Ziegler, *Lectures on Polytopes*, 8.1).
+
+REAL_FACES = {
+    M0(4): [1, 2], M0(5): [1, 5, 5], M0(6): [1, 9, 21, 14],
+    M0(7): [1, 14, 56, 84, 42], M0(8): [1, 20, 120, 300, 330, 132],
+    MULT(1): [1], MULT(2): [1, 2], MULT(3): [1, 6, 6],
+    MULT(4): [1, 13, 32, 21], MULT(5): [1, 25, 110, 165, 80],
+    MULT(6): [1, 46, 313, 788, 841, 322],
+}
+
+
+def is_interval_stratum(g):
+    """Whether the legs below every vertex form an interval, the tree
+    hung from the vertex holding the top leg."""
+    top_leg = 0 if 0 in g.legs else max(g.legs)
+    adj = g.adjacency()
+    top = g.legs[top_leg]
+    parent, order = {top: None}, [top]
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    below = {v: set() for v in order}
+    for l, v in g.legs.items():
+        if l != top_leg:
+            below[v].add(l)
+    for v in reversed(order):
+        legs = below[v]
+        if legs and max(legs) - min(legs) + 1 != len(legs):
+            return False
+        if parent[v] is not None:
+            below[parent[v]] |= legs
+    return True
+
+
+def real_face_counts(space):
+    counts = Counter()
+    for g in enumerate_strata(space):
+        if is_interval_stratum(g):
+            colored = sum(c.value == "colored" for c in g.color.values())
+            counts[len(g.edges) + (1 - colored if g.color else 0)] += 1
+    return [counts[c] for c in range(max(counts) + 1)]
+
+
+@pytest.mark.parametrize("space", [
+    pytest.param(s, marks=pytest.mark.slow) if s in (M0(8), MULT(6)) else s
+    for s in REAL_FACES], ids=str)
+def test_real_faces_are_polytope_faces(space, monkeypatch):
+    # m0(8) lies past the default enumeration guard of 7
+    monkeypatch.setenv("MODULI_MAX_N", "8")
+    f = real_face_counts(space)
+    assert f == REAL_FACES[space]
+    dim = len(f) - 1
+    assert sum((-1) ** (dim - c) * fc for c, fc in enumerate(f)) == 1
+    if space.family == "m0":
+        n = space.n
+        assert f == [math.comb(n - 3, k) * math.comb(n + k - 1, k) // (k + 1)
+                     for k in range(n - 2)]

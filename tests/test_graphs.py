@@ -211,6 +211,28 @@ class TestVertexInput:
         with pytest.raises(TypeError):
             MarkedGraph(Kind.MODULAR, [0, 1, 2], [(0, 1)])
 
+    @pytest.mark.parametrize("what, make", [
+        # index() would read True as vertex 1, and the tree as valid
+        ("vertex id", lambda: MarkedGraph(
+            Kind.COLORED_TREE, {True: Color.COLORED}, [], {0: 1, 1: 1})),
+        ("leg vertex", lambda: MarkedGraph(
+            Kind.COLORED_TREE, {1: Color.COLORED}, [], {0: True, 1: 1})),
+        ("leg label", lambda: MarkedGraph(
+            Kind.COLORED_TREE, {1: Color.COLORED}, [], {0: 1, True: 1})),
+        ("edge end", lambda: MarkedGraph(
+            Kind.ROOTED_FOREST, [(0, None), (1, None)], [(0, True)],
+            {1: 1, 2: 1}, 0)),
+        ("root", lambda: MarkedGraph(
+            Kind.ROOTED_FOREST, [(0, None)], [], {1: 0, 2: 0}, False)),
+        ("genus", lambda: MarkedGraph(
+            Kind.MODULAR, {0: False}, [], {1: 0, 2: 0, 3: 0})),
+    ], ids=["vertex-id", "leg-vertex", "leg-label", "edge-end", "root",
+            "genus"])
+    def test_bool_for_an_integer_refused(self, what, make):
+        with pytest.raises(InvalidGraph,
+                           match=f"^{what} (True|False) is not an integer$"):
+            make()
+
 
 class TestStability:
     def test_colored_valence_two_is_stable(self):

@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 import random
 from fractions import Fraction
 
@@ -131,6 +133,26 @@ class TestNegativeCaps:
     def test_zero_caps_keep_the_constants(self):
         r = SeriesRing(tvars=["t0"], t_cap=0, q_cap=0, h_cap=0)
         assert r.one() * r.one() == r.one()
+
+
+class TestRingImmutable:
+    @pytest.mark.parametrize("field", ["tvars", "q_denominator", "t_cap",
+                                       "q_cap_num", "h_cap", "extra"])
+    def test_fields_cannot_be_set_or_deleted(self, field):
+        r = SeriesRing(tvars=["t0"], t_cap=2)
+        h = hash(r)
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(r, field, 0)
+        with pytest.raises(AttributeError, match="immutable"):
+            delattr(r, field)
+        assert hash(r) == h and r == SeriesRing(tvars=["t0"], t_cap=2)
+
+    def test_copy_and_pickle_keep_the_ring(self):
+        r = SeriesRing(tvars=["x", "y"], q_denominator=3, t_cap=4,
+                       q_cap=Fraction(5, 3), h_cap=2)
+        for c in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert c == r and hash(c) == hash(r)
+            assert c.q_cap_num == 5 and c.tvars == ("x", "y")
 
 
 def reference_mul(f, g):
