@@ -25,7 +25,7 @@ from .errors import (
     InvalidArgument,
     MissingArity,
 )
-from .series import Series, SeriesRing, multinomial
+from .series import Series, SeriesRing, _accumulate, _finish, dot, multinomial
 
 
 def _as_series(ring, c):
@@ -68,7 +68,11 @@ def _contraction(ring, args):
     indices left with the later arguments, which is computed once per
     call for all keys.  The ring caps are downward-closed in nonnegative
     exponents, so truncated multiplication is associative and
-    distributive: this regrouping changes no coefficient.
+    distributive: this regrouping changes no coefficient.  Each such
+    sum of products, like every other in this module, accumulates the
+    integer pairs of :func:`series._accumulate` and normalizes one
+    Fraction per kept key at the end; a rational sum does not depend on
+    its order, so that changes no coefficient either.
     """
     memo = {(): ring.one()}
     return lambda key: (_suffix_sum(ring, args, memo, key)
@@ -82,27 +86,33 @@ def _suffix_sum(ring, args, memo, key):
     total = memo.get(key)
     if total is None:
         vec = args[len(args) - len(key)]
-        total = ring.zero()
+        acc = {}
         for k, i in enumerate(key):
             if (k and key[k - 1] == i) or vec[i].is_zero():
                 continue
-            total = total + vec[i] * _suffix_sum(ring, args, memo,
-                                                 key[:k] + key[k + 1:])
-        memo[key] = total
+            _accumulate(acc, ring, vec[i],
+                        _suffix_sum(ring, args, memo, key[:k] + key[k + 1:]))
+        total = memo[key] = _finish(ring, acc)
     return total
 
 
 def _apply_tensor(ring, dim_out, tensor, args):
     """Evaluate a map stored as {sorted inputs: {output index: coefficient}}."""
+    accs = [{} for _ in range(dim_out)]
+    _tensor_into(accs, ring, tensor, args)
+    return tuple(_finish(ring, acc) for acc in accs)
+
+
+def _tensor_into(accs, ring, tensor, args, den=1):
+    """Add the map stored in ``tensor``, evaluated at ``args`` and divided
+    by ``den``, into the accumulator ``accs[j]`` of each output j."""
     contract = _contraction(ring, args)
-    out = [ring.zero() for _ in range(dim_out)]
     for key, val in tensor.items():
         x = contract(key)
         if x.is_zero():
             continue
         for j, c in val.items():
-            out[j] = out[j] + _as_series(ring, c) * x
-    return tuple(out)
+            _accumulate(accs[j], ring, _as_series(ring, c), x, 1, den)
 
 
 def _tensors_from_terms(ring, terms, dim_in, dim_out=None):
@@ -181,20 +191,22 @@ def star_product(alg, v, a, b):
     b = as_vector(ring, alg.dim, b)
     v = as_vector(ring, alg.dim, v)
     return _weighted_sum(
-        [ring.zero()] * alg.dim,
-        ((alg.apply_mu(n, [a, b] + [v] * (n - 2)), math.factorial(n - 2))
+        ring, [ring.zero()] * alg.dim,
+        ((alg.mu[n], [a, b] + [v] * (n - 2), math.factorial(n - 2))
          for n in alg.arities()))
 
 
-def _weighted_sum(start, terms):
-    """``start`` plus the sum of term / divisor over (term, divisor) pairs
-    of series vectors and integers."""
-    out = list(start)
-    for term, divisor in terms:
-        f = Fraction(1, divisor)
-        for i, x in enumerate(term):
-            out[i] = out[i] + x * f
-    return tuple(out)
+def _weighted_sum(ring, start, terms):
+    """The series vector ``start`` plus the sum of tensor(args) / divisor
+    over (tensor, args, divisor) triples, each tensor as in
+    :func:`_apply_tensor`."""
+    accs = [{} for _ in start]
+    one = ring.one()
+    for acc, x in zip(accs, start):
+        _accumulate(acc, ring, x, one)
+    for tensor, args, divisor in terms:
+        _tensor_into(accs, ring, tensor, args, divisor)
+    return tuple(_finish(ring, acc) for acc in accs)
 
 
 def check_associativity(alg, v=None):
@@ -229,13 +241,8 @@ def check_associativity(alg, v=None):
 def _combination(ring, dim, coeffs, vectors):
     """sum_l coeffs[l] * vectors[l] for series coefficients and series
     vectors of length ``dim``."""
-    out = [ring.zero()] * dim
-    for c, vec in zip(coeffs, vectors):
-        if c.is_zero():
-            continue
-        for m, x in enumerate(vec):
-            out[m] = out[m] + c * x
-    return tuple(out)
+    return tuple(dot(ring, [(c, vec[m]) for c, vec in zip(coeffs, vectors)])
+                 for m in range(dim))
 
 
 def _witness(head, lhs, rhs, components=None):
@@ -302,8 +309,8 @@ def push_forward(phi, v):
     ring = phi.ring
     v = as_vector(ring, phi.dim_v, v)
     return _weighted_sum(
-        phi.phi0, ((phi.apply_phi(n, [v] * n), math.factorial(n))
-                   for n in phi.arities()))
+        ring, phi.phi0, ((phi.phi[n], [v] * n, math.factorial(n))
+                         for n in phi.arities()))
 
 
 def derivative(phi, v, a):
@@ -312,8 +319,8 @@ def derivative(phi, v, a):
     v = as_vector(ring, phi.dim_v, v)
     a = as_vector(ring, phi.dim_v, a)
     return _weighted_sum(
-        [ring.zero()] * phi.dim_w,
-        ((phi.apply_phi(n, [a] + [v] * (n - 1)), math.factorial(n - 1))
+        ring, [ring.zero()] * phi.dim_w,
+        ((phi.phi[n], [a] + [v] * (n - 1), math.factorial(n - 1))
          for n in phi.arities()))
 
 
@@ -358,20 +365,33 @@ class Trace:
         return sorted(self.tau)
 
     def apply_tau(self, n, args):
+        acc = {}
+        self._tau_into(acc, n, args)
+        return _finish(self.ring, acc)
+
+    def apply_tau_pp(self, pts, bulk):
+        acc = {}
+        self._tau_pp_into(acc, pts, bulk)
+        return _finish(self.ring, acc)
+
+    def _tau_into(self, acc, n, args, num=1, den=1):
+        """Add (num/den) tau^n(args) into the accumulator ``acc``."""
         if n not in self.tau:
             raise MissingArity(f"tau^{n} not supplied")
         ring, contract = self.ring, _contraction(self.ring, args)
-        return sum((_as_series(ring, c) * contract(key)
-                    for key, c in self.tau[n].items()), ring.zero())
+        for key, c in self.tau[n].items():
+            _accumulate(acc, ring, _as_series(ring, c), contract(key), num, den)
 
-    def apply_tau_pp(self, pts, bulk):
+    def _tau_pp_into(self, acc, pts, bulk, den=1):
+        """Add tau_pp(pts; bulk) / den into the accumulator ``acc``."""
         n = len(bulk)
         if self.tau_pp is None or n not in self.tau_pp:
             raise MissingArity(f"tau_pp with {n} bulk slots not supplied")
         ring = self.ring
         pts_part, bulk_part = _contraction(ring, pts), _contraction(ring, bulk)
-        return sum((_as_series(ring, c) * pts_part(pkey) * bulk_part(bkey)
-                    for (pkey, bkey), c in self.tau_pp[n].items()), ring.zero())
+        for (pkey, bkey), c in self.tau_pp[n].items():
+            _accumulate(acc, ring, _as_series(ring, c) * pts_part(pkey),
+                        bulk_part(bkey), 1, den)
 
 
 def trace_from_terms(ring, dim, terms, pp_terms=None):
@@ -392,10 +412,10 @@ def potential(trace, v):
     """tau(v) = sum_n tau^n(v, ..., v) / n!."""
     ring = trace.ring
     v = as_vector(ring, trace.dim, v)
-    total = ring.zero()
+    acc = {}
     for n in trace.arities():
-        total = total + trace.apply_tau(n, [v] * n) / math.factorial(n)
-    return total
+        trace._tau_into(acc, n, [v] * n, 1, math.factorial(n))
+    return _finish(ring, acc)
 
 
 @dataclass
@@ -431,7 +451,7 @@ def compose_trace(tau_w, phi, v, order=None):
         if m <= order:
             images[m] = phi.apply_phi(m, [v] * m)
     curved = not phi.flat
-    total = ring.zero()
+    acc = {}
     for n in range(0, order + 1):
         for profile in _partition_profiles(n):
             r0 = len(profile)
@@ -444,9 +464,9 @@ def compose_trace(tau_w, phi, v, order=None):
                 if r not in tau_w.tau:
                     continue
                 args = [images[m] for m in profile] + [images[0]] * k
-                weight = Fraction(count, math.factorial(n) * math.factorial(k))
-                total = total + tau_w.apply_tau(r, args) * weight
-    return ComposedTrace(subst, total)
+                tau_w._tau_into(acc, r, args, count,
+                                math.factorial(n) * math.factorial(k))
+    return ComposedTrace(subst, _finish(ring, acc))
 
 
 def _partition_profiles(n):
@@ -482,10 +502,10 @@ def bilinear_form(trace, v, a, b):
     b = as_vector(ring, trace.dim, b)
     if trace.tau_pp is None:
         raise MissingArity("trace has no two-point-class family")
-    total = ring.zero()
+    acc = {}
     for n in sorted(trace.tau_pp):
-        total = total + trace.apply_tau_pp([a, b], [v] * n) / math.factorial(n)
-    return total
+        trace._tau_pp_into(acc, [a, b], [v] * n, math.factorial(n))
+    return _finish(ring, acc)
 
 
 def pp_family_from(tau_w, phi, bulk_max):
@@ -507,7 +527,7 @@ def pp_family_from(tau_w, phi, bulk_max):
         for pidx in itertools.combinations_with_replacement(range(dim), 2):
             for bidx in itertools.combinations_with_replacement(range(dim), n):
                 items = [("p", 0), ("p", 1)] + [("b", i) for i in range(n)]
-                total = ring.zero()
+                acc = {}
                 for blocks in set_partitions(items):
                     # the point slots take the blocks of x1 and x2, which
                     # must differ; both tensors are symmetric, so the
@@ -526,7 +546,8 @@ def pp_family_from(tau_w, phi, bulk_max):
                             pts.append(img)
                         else:
                             bulk_args.append(img)
-                    total = total + tau_w.apply_tau_pp(pts, bulk_args)
+                    tau_w._tau_pp_into(acc, pts, bulk_args)
+                total = _finish(ring, acc)
                 if not total.is_zero():
                     tensor[(pidx, bidx)] = total
         tau_pp[n] = tensor
@@ -609,15 +630,21 @@ class QdeSolution:
         ring = self.ring
         dim = self.alg.dim
         m = _xi_star_matrix(self.alg, self.xi, ring)
+        one = ring.one()
         out = []
         for i in range(dim):
             row = []
             for j in range(dim):
-                term = _shift_h(self.sigma[i][j].q_log_derivative(), -1)
+                acc = {}
+                _accumulate(acc, ring,
+                            _shift_h(self.sigma[i][j].q_log_derivative(), -1),
+                            one)
                 for k in range(dim):
-                    term = term - m[i][k] * self.sigma[k][j]
-                    term = term + self.sigma[i][k] * ring.scalar(self.classical[k][j])
-                row.append(term)
+                    _accumulate(acc, ring, m[i][k], self.sigma[k][j], -1)
+                    c = self.classical[k][j]
+                    _accumulate(acc, ring, self.sigma[i][k], one,
+                                c.numerator, c.denominator)
+                row.append(_finish(ring, acc))
             out.append(tuple(row))
         return tuple(out)
 

@@ -5,6 +5,13 @@ whose exponents live in (1/l)Z_{>=0} for a fixed denominator l, and an
 inverse symbol hbar^-1.  Series are sparse maps from exponent keys
 (t-exponents, q-exponent numerator, hbar^-1 power) to Fractions; all
 arithmetic truncates at the ring caps and stays exact.
+
+Products run through one kernel: ``_accumulate`` adds a truncated
+product, times a rational weight, into a table of integer (numerator,
+denominator) pairs, and ``_finish`` turns the table into a series with
+one Fraction per key whose numerator is not zero.  ``Series.__mul__``
+is the one-pair case, and ``dot`` a sum of products, so a sum is
+normalized once per kept key rather than once per partial sum.
 """
 
 from __future__ import annotations
@@ -23,6 +30,21 @@ def _integer(name, value):
         raise InvalidArgument(f"{name} {value!r} is not an integer") from None
 
 
+def _names(tvars):
+    """The coordinate variable names as a tuple without repeats; a bare
+    string is one name too many, not a sequence of one-letter names."""
+    if isinstance(tvars, str):
+        raise InvalidArgument(f"tvars {tvars!r} is a string, not a list of names")
+    try:
+        names = tuple(tvars)
+    except TypeError:
+        raise InvalidArgument(f"tvars {tvars!r} is not a list of names") from None
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InvalidArgument(f"tvars {names!r} repeat the name {name!r}")
+    return names
+
+
 class SeriesRing:
     """Exponent bookkeeping shared by a family of series.
 
@@ -30,6 +52,8 @@ class SeriesRing:
     ``q_cap`` the q exponent (a rational; resolution 1/q_denominator),
     ``h_cap`` the power of hbar^-1.  ``q_denominator``, ``t_cap`` and
     ``h_cap`` are integers: a float is refused, not truncated.
+    ``tvars`` lists distinct names; a bare string such as ``"t0"`` is
+    refused, not split into its letters.
 
     A ring is immutable: no attribute can be set or deleted after
     construction, so its hash never changes.
@@ -38,7 +62,7 @@ class SeriesRing:
     __slots__ = ("tvars", "q_denominator", "t_cap", "q_cap_num", "h_cap")
 
     def __init__(self, tvars=(), q_denominator=1, t_cap=6, q_cap=0, h_cap=0):
-        tvars = tuple(tvars)
+        tvars = _names(tvars)
         q_denominator = _integer("q_denominator", q_denominator)
         if q_denominator < 1:
             raise ValueError("q denominator must be positive")
@@ -160,39 +184,9 @@ class Series:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
             return Series(self.ring, {k: v * c for k, v in self.coeffs.items()})
-        self._check(other)
-        ring = self.ring
-        if not self.coeffs or not other.coeffs:
-            return Series(ring, {})
-        # Each kept key holds an integer numerator over the least common
-        # denominator of the pairs that landed on it, so one Fraction is
-        # normalized per kept key and none per term pair.  A pair is
-        # skipped before its key is built when it lands beyond a cap,
-        # the test of SeriesRing._inside.
-        right = [(t2, sum(t2), q2, h2, c2.numerator, c2.denominator)
-                 for (t2, q2, h2), c2 in other.coeffs.items()]
-        add = operator.add
         acc = {}
-        for (t1, q1, h1), c1 in self.coeffs.items():
-            n1, d1 = c1.numerator, c1.denominator
-            t_room = ring.t_cap - sum(t1)
-            q_room = ring.q_cap_num - q1
-            h_room = ring.h_cap - h1
-            for t2, deg2, q2, h2, n2, d2 in right:
-                if deg2 > t_room or q2 > q_room or h2 > h_room:
-                    continue
-                key = (tuple(map(add, t1, t2)), q1 + q2, h1 + h2)
-                d = d1 * d2
-                old = acc.get(key)
-                if old is None:
-                    acc[key] = (n1 * n2, d)
-                elif old[1] == d:
-                    acc[key] = (old[0] + n1 * n2, d)
-                else:
-                    n, e = old
-                    g = math.gcd(e, d)
-                    acc[key] = (n * (d // g) + n1 * n2 * (e // g), e // g * d)
-        return Series(ring, {k: Fraction(n, d) for k, (n, d) in acc.items()})
+        _accumulate(acc, self.ring, self, other)
+        return _finish(self.ring, acc)
 
     __rmul__ = __mul__
 
@@ -269,14 +263,15 @@ class Series:
                 images.append(mapping[i])
             else:
                 images.append(ring.t(i))
-        total = ring.zero()
+        acc = {}
         for (texp, qnum, hpow), c in self.coeffs.items():
             term = Series(ring, {((0,) * len(ring.tvars), qnum, hpow): c})
-            for i, e in enumerate(texp):
-                for _ in range(e):
-                    term = term * images[i]
-            total = total + term
-        return total
+            factors = [images[i] for i, e in enumerate(texp)
+                       for _ in range(e)] or [ring.one()]
+            for x in factors[:-1]:
+                term = term * x
+            _accumulate(acc, ring, term, factors[-1])
+        return _finish(ring, acc)
 
     def terms(self):
         """Sorted (t-exponents, q-exponent, hbar-inverse power, coefficient)."""
@@ -306,6 +301,64 @@ class Series:
                 factors.append(f"hbar^-{hpow}")
             bits.append("*".join(factors))
         return " + ".join(bits)
+
+
+def dot(ring, pairs):
+    """The sum of the products a * b over the pairs (a, b) of series of
+    ``ring``, each truncated at the ring caps, with one Fraction built
+    per kept key of the sum."""
+    acc = {}
+    for a, b in pairs:
+        _accumulate(acc, ring, a, b)
+    return _finish(ring, acc)
+
+
+def _accumulate(acc, ring, a, b, num=1, den=1):
+    """Add (num/den) a b, truncated at the caps of ``ring``, into ``acc``.
+
+    ``acc`` maps each exponent key to an integer pair (numerator,
+    denominator): the numerator sum of the term pairs that landed on
+    the key, over the least common denominator of those pairs, so no
+    Fraction is built per term pair.  The weight num/den goes into the
+    integers of each left term.  A pair is skipped before its key is
+    built when it lands beyond a cap, the test of SeriesRing._inside.
+    """
+    for s in (a, b):
+        if s.ring is not ring and s.ring != ring:
+            raise ValueError("series from different rings")
+    if not (a.coeffs and b.coeffs and num):
+        return
+    right = [(t2, sum(t2), q2, h2, c2.numerator, c2.denominator)
+             for (t2, q2, h2), c2 in b.coeffs.items()]
+    add = operator.add
+    for (t1, q1, h1), c1 in a.coeffs.items():
+        n1, d1 = c1.numerator * num, c1.denominator * den
+        t_room = ring.t_cap - sum(t1)
+        q_room = ring.q_cap_num - q1
+        h_room = ring.h_cap - h1
+        for t2, deg2, q2, h2, n2, d2 in right:
+            if deg2 > t_room or q2 > q_room or h2 > h_room:
+                continue
+            key = (tuple(map(add, t1, t2)), q1 + q2, h1 + h2)
+            d = d1 * d2
+            old = acc.get(key)
+            if old is None:
+                acc[key] = (n1 * n2, d)
+            elif old[1] == d:
+                acc[key] = (old[0] + n1 * n2, d)
+            else:
+                n, e = old
+                g = math.gcd(e, d)
+                acc[key] = (n * (d // g) + n1 * n2 * (e // g), e // g * d)
+
+
+def _finish(ring, acc):
+    """The series of an accumulated table: one Fraction per key whose
+    numerator is not zero, and no second zero filter."""
+    out = object.__new__(Series)
+    out.ring = ring
+    out.coeffs = {k: Fraction(n, d) for k, (n, d) in acc.items() if n}
+    return out
 
 
 def multinomial(n, parts):

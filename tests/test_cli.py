@@ -434,6 +434,18 @@ class TestUsage:
         assert main(["cohft", command, "--spec", str(path)]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command, text, value", [
+        ("solve-qde", qde_spec(tvars="t0"), "'t0'"),
+        ("check-associativity", qde_spec(tvars=["t0", "t0"]), "'t0'"),
+    ], ids=["string", "repeated"])
+    def test_bad_tvars_exits_two(self, command, text, value, tmp_path,
+                                 capsys):
+        # a string used to become one variable per character
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["cohft", command, "--spec", str(path)]) == 2
+        assert value in assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("option", ["--order", "--q-cap"])
     def test_negative_cohft_size_exits_two(self, option, tmp_path, capsys):
         path = tmp_path / "qde.json"

@@ -2,12 +2,14 @@ import copy
 import operator
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from treelevel import cohft
 from treelevel.errors import CapExceeded, InvalidArgument
-from treelevel.series import Series, SeriesRing
+from treelevel.series import Series, SeriesRing, _accumulate, _finish, dot
 
 
 def ring():
@@ -129,6 +131,18 @@ class TestNegativeCaps:
         with pytest.raises(InvalidArgument,
                            match=f"^{size} {value!r} is not an integer$"):
             SeriesRing(tvars=["t0"], **{size: value})
+
+    @pytest.mark.parametrize("tvars, message", [
+        ("t0", "tvars 't0' is a string, not a list of names"),
+        (["t0", "t0"], "tvars ('t0', 't0') repeat the name 't0'"),
+        (["x", "y", "x"], "tvars ('x', 'y', 'x') repeat the name 'x'"),
+        (5, "tvars 5 is not a list of names"),
+    ], ids=["string", "repeated", "repeated-later", "not-iterable"])
+    def test_bad_tvars_refused(self, tvars, message):
+        # a bare string is not split into its characters, and a repeated
+        # name would make ring.t(name) always mean its first index
+        with pytest.raises(InvalidArgument, match=f"^{re.escape(message)}$"):
+            SeriesRing(tvars=tvars, t_cap=2)
 
     def test_zero_caps_keep_the_constants(self):
         r = SeriesRing(tvars=["t0"], t_cap=0, q_cap=0, h_cap=0)
@@ -275,3 +289,120 @@ class TestPower:
         t = SeriesRing(tvars=["t0"], t_cap=3).t(0)
         with pytest.raises(InvalidArgument, match="exponent"):
             t ** k
+
+
+def reference_dot(pairs):
+    """The sum of ``reference_mul`` over the pairs, zeros dropped."""
+    out = {}
+    for f, g in pairs:
+        for key, c in reference_mul(f, g).items():
+            out[key] = out.get(key, Fraction(0)) + c
+    return {k: v for k, v in out.items() if v != 0}
+
+
+class TestDotKernel:
+    """series.dot, the sum of products on one integer-pair table, against
+    the sum of the per-pair Fraction products."""
+
+    def test_matches_sum_of_reference_products(self):
+        rng = random.Random(24)
+        seen = set()
+        for r in KERNEL_RINGS:
+            caps = (r.t_cap, r.q_cap_num, r.h_cap)
+            for _ in range(300):
+                pairs = [(random_operand(rng, r), random_operand(rng, r))
+                         for _ in range(rng.choice([1, 2, 3, 5]))]
+                if rng.random() < 0.3:
+                    # the negated product of one pair cancels it in the sum
+                    f, g = rng.choice(pairs)
+                    pairs.append((-f, g) if rng.random() < 0.5 else (f, -g))
+                total, expected = dot(r, pairs).coeffs, reference_dot(pairs)
+                assert total == expected
+                assert all(type(c) is Fraction and c != 0
+                           for c in total.values())
+                products = [reference_mul(f, g) for f, g in pairs]
+                if any(not f.coeffs or not g.coeffs for f, g in pairs):
+                    seen.add("empty")
+                if any(k not in total for p in products for k in p):
+                    seen.add("cancelled")
+                for f, g in pairs:
+                    for (t1, q1, h1) in f.coeffs:
+                        for (t2, q2, h2) in g.coeffs:
+                            degrees = (sum(t1) + sum(t2), q1 + q2, h1 + h2)
+                            for axis in range(3):
+                                if degrees[axis] - caps[axis] in (0, 1):
+                                    seen.add((axis, degrees[axis] - caps[axis]))
+        # a key kept by a pair and cancelled by the sum, empty operands,
+        # and keys at and one past each cap were all drawn
+        assert seen == {"empty", "cancelled"} | {
+            (axis, past) for axis in range(3) for past in (0, 1)}
+
+    def test_weights_go_into_the_integers(self):
+        # the kernel under dot, with the rational weight of each pair
+        rng = random.Random(2401)
+        for r in KERNEL_RINGS:
+            for _ in range(100):
+                acc, expected = {}, {}
+                for _ in range(rng.randint(1, 4)):
+                    f, g = random_operand(rng, r), random_operand(rng, r)
+                    num, den = rng.randint(-5, 5), rng.choice([1, 2, 6, 24])
+                    _accumulate(acc, r, f, g, num, den)
+                    for key, c in reference_mul(f, g).items():
+                        expected[key] = (expected.get(key, Fraction(0))
+                                         + c * Fraction(num, den))
+                assert _finish(r, acc).coeffs == {
+                    k: v for k, v in expected.items() if v != 0}
+
+    def test_cancellation_across_pairs(self):
+        r = KERNEL_RINGS[0]
+        x, y = r.t("x"), r.t("y")
+        half = r.scalar(Fraction(1, 2))
+        f = x * Fraction(1, 3) + y
+        g = x * Fraction(3, 4) - y * half
+        # x*y: 1/3 * -1/2 + 1 * 3/4 = 7/12 from the first pair, and
+        # -7/12 from the second, so only x^2 and y^2 are left
+        second = Series(r, {((1, 1), 0, 0): Fraction(-7, 12)})
+        total = dot(r, [(f, g), (second, r.one())])
+        assert ((1, 1), 0, 0) not in total.coeffs
+        assert total.coeffs == {((2, 0), 0, 0): Fraction(1, 4),
+                                ((0, 2), 0, 0): Fraction(-1, 2)}
+        assert dot(r, [(f, g), (-f, g)]).coeffs == {}
+
+    def test_keys_past_the_caps_are_dropped(self):
+        r = SeriesRing(tvars=["x"], q_denominator=2, t_cap=2,
+                       q_cap=Fraction(1, 2), h_cap=1)
+        x, q, h = r.t("x"), r.q_power(Fraction(1, 2)), r.h_inv()
+        total = dot(r, [(x, x * x), (q, q), (h, h), (x, q + h)])
+        assert total.coeffs == {((1,), 1, 0): 1, ((1,), 0, 1): 1}
+
+    def test_empty_operands_and_empty_list(self):
+        r = KERNEL_RINGS[1]
+        t = r.t("t0") + r.scalar(Fraction(2, 3))
+        assert dot(r, []) == r.zero() and dot(r, []).coeffs == {}
+        assert dot(r, [(t, r.zero()), (r.zero(), t)]).is_zero()
+        assert dot(r, [(r.zero(), t), (t, t)]) == t * t
+
+    def test_ring_mismatch_raises(self):
+        a = SeriesRing(tvars=["x"], t_cap=3)
+        b = SeriesRing(tvars=["x"], t_cap=4)
+        assert dot(a, [(SeriesRing(tvars=["x"], t_cap=3).t("x"),
+                        a.t("x"))]) == a.t("x") * a.t("x")
+        for pair in [(b.t("x"), a.t("x")), (a.t("x"), b.t("x"))]:
+            with pytest.raises(ValueError, match="different rings"):
+                dot(a, [pair])
+        with pytest.raises(ValueError, match="different rings"):
+            dot(b, [(a.t("x"), a.t("x"))])
+
+    @pytest.mark.slow
+    def test_qde_residual_at_q_cap_60_is_zero(self):
+        # P^3 with xi^4 = q^(1/8), whose sigma coefficients have many
+        # large, distinct denominators
+        ring = SeriesRing(tvars=[f"t{i}" for i in range(4)], q_denominator=8,
+                          q_cap=1)
+        terms = [((i, j), (i + j) % 4, ring.q_power(Fraction((i + j) // 4, 8)))
+                 for i in range(4) for j in range(4)]
+        alg = cohft.algebra_from_terms(ring, [f"xi^{i}" for i in range(4)],
+                                       terms)
+        solution = cohft.solve_qde(alg, 1, 60)
+        assert solution.residual_is_zero()
+        assert len(solution.sigma[0][3].coeffs) > 100
