@@ -35,10 +35,17 @@ def _as_series(ring, c):
 
 
 def as_vector(ring, dim, x):
-    """Coerce a basis index, scalar list or series vector to a series vector."""
+    """Coerce a basis index, scalar list or series vector to a series vector.
+
+    A tuple of ``dim`` series is returned as it is, so a vector keeps its
+    identity, which the contraction memo of one call is keyed by.
+    """
     if isinstance(x, int):
         _check_indices((x,), dim, "basis")
         return tuple(ring.one() if i == x else ring.zero() for i in range(dim))
+    if (isinstance(x, tuple) and len(x) == dim
+            and all(isinstance(entry, Series) for entry in x)):
+        return x
     out = tuple(_as_series(ring, entry) for entry in x)
     if len(out) != dim:
         raise ValueError("vector has the wrong length")
@@ -53,37 +60,58 @@ def generic_point(ring, dim):
 
 
 def _check_indices(indices, dim, what):
-    """Raise InvalidArgument unless every index is an int in range(dim)."""
+    """Raise InvalidArgument unless every index is an int in range(dim);
+    a bool is refused, not read as 0 or 1."""
     for i in indices:
+        if isinstance(i, bool):
+            raise InvalidArgument(f"{what} index {i!r} is not an integer")
         if not isinstance(i, int) or not 0 <= i < dim:
             raise InvalidArgument(f"{what} index {i!r} is not in range({dim})")
 
 
-def _contraction(ring, args):
+def _contraction(ring, args, memo):
     """Map a sorted index tuple ``key`` to the sum, over its distinct
     orderings idx, of args[0][idx[0]] * ... * args[-1][idx[-1]] (zero
     when len(key) != len(args)).
 
     The sum is the first coordinate times the contraction of the
-    indices left with the later arguments, which is computed once per
-    call for all keys.  The ring caps are downward-closed in nonnegative
-    exponents, so truncated multiplication is associative and
-    distributive: this regrouping changes no coefficient.  Each such
-    sum of products, like every other in this module, accumulates the
-    integer pairs of :func:`series._accumulate` and normalizes one
-    Fraction per kept key at the end; a rational sum does not depend on
-    its order, so that changes no coefficient either.
+    indices left with the later arguments.  The ring caps are
+    downward-closed in nonnegative exponents, so truncated
+    multiplication is associative and distributive: this regrouping
+    changes no coefficient.  Each such sum of products, like every
+    other in this module, accumulates the integer pairs of
+    :func:`series._accumulate` and normalizes one Fraction per kept key
+    at the end; a rational sum does not depend on its order, so that
+    changes no coefficient either.
+
+    ``memo`` is the contraction memo of one public call, made empty by
+    that call and dropped when it returns.  It keeps one table of
+    suffix sums per argument suffix, keyed by the ring and the
+    identities of the suffix's vectors, so the tensors evaluated in one
+    check share every suffix they have in common: a star product's
+    trailing copies of v, the one-hot vector of a basis index, a
+    block image of the partition sum.  Each entry holds its suffix
+    tuple, so no id in a key can be recycled while the memo lives.
     """
-    memo = {(): ring.one()}
-    return lambda key: (_suffix_sum(ring, args, memo, key)
-                        if len(key) == len(args) else ring.zero())
+    n = len(args)
+    tables = []
+    for m in range(n + 1):
+        suffix = tuple(args[n - m:])
+        ident = (ring, *map(id, suffix))
+        entry = memo.get(ident)
+        if entry is None:
+            entry = memo[ident] = (suffix, {} if m else {(): ring.one()})
+        tables.append(entry[1])
+    return lambda key: (_suffix_sum(ring, args, tables, key)
+                        if len(key) == n else ring.zero())
 
 
-def _suffix_sum(ring, args, memo, key):
+def _suffix_sum(ring, args, tables, key):
     # A module-level function rather than a closure: a recursive closure
-    # is a reference cycle, which keeps ``memo`` alive until the cyclic
+    # is a reference cycle, which keeps ``tables`` alive until the cyclic
     # garbage collector runs.
-    total = memo.get(key)
+    table = tables[len(key)]
+    total = table.get(key)
     if total is None:
         vec = args[len(args) - len(key)]
         acc = {}
@@ -91,22 +119,22 @@ def _suffix_sum(ring, args, memo, key):
             if (k and key[k - 1] == i) or vec[i].is_zero():
                 continue
             _accumulate(acc, ring, vec[i],
-                        _suffix_sum(ring, args, memo, key[:k] + key[k + 1:]))
-        total = memo[key] = _finish(ring, acc)
+                        _suffix_sum(ring, args, tables, key[:k] + key[k + 1:]))
+        total = table[key] = _finish(ring, acc)
     return total
 
 
-def _apply_tensor(ring, dim_out, tensor, args):
+def _apply_tensor(ring, dim_out, tensor, args, memo):
     """Evaluate a map stored as {sorted inputs: {output index: coefficient}}."""
     accs = [{} for _ in range(dim_out)]
-    _tensor_into(accs, ring, tensor, args)
+    _tensor_into(accs, ring, tensor, args, memo)
     return tuple(_finish(ring, acc) for acc in accs)
 
 
-def _tensor_into(accs, ring, tensor, args, den=1):
+def _tensor_into(accs, ring, tensor, args, memo, den=1):
     """Add the map stored in ``tensor``, evaluated at ``args`` and divided
     by ``den``, into the accumulator ``accs[j]`` of each output j."""
-    contract = _contraction(ring, args)
+    contract = _contraction(ring, args, memo)
     for key, val in tensor.items():
         x = contract(key)
         if x.is_zero():
@@ -157,7 +185,7 @@ class CohFTAlgebra:
     def apply_mu(self, n, args):
         if n not in self.mu:
             raise MissingArity(f"mu^{n} not supplied")
-        return _apply_tensor(self.ring, self.dim, self.mu[n], args)
+        return _apply_tensor(self.ring, self.dim, self.mu[n], args, {})
 
 
 def algebra_from_terms(ring, basis, terms):
@@ -184,6 +212,10 @@ def small_quantum_projective(k, ring=None, t_cap=4, q_cap=4):
 
 def star_product(alg, v, a, b):
     """a *_v b = sum_n mu^n(a, b, v, ..., v) / (n-2)! within the caps."""
+    return _star_product(alg, v, a, b, {})
+
+
+def _star_product(alg, v, a, b, memo):
     ring = alg.ring
     if 2 not in alg.mu:
         raise MissingArity("a product needs the arity-two tensor")
@@ -193,10 +225,10 @@ def star_product(alg, v, a, b):
     return _weighted_sum(
         ring, [ring.zero()] * alg.dim,
         ((alg.mu[n], [a, b] + [v] * (n - 2), math.factorial(n - 2))
-         for n in alg.arities()))
+         for n in alg.arities()), memo)
 
 
-def _weighted_sum(ring, start, terms):
+def _weighted_sum(ring, start, terms, memo):
     """The series vector ``start`` plus the sum of tensor(args) / divisor
     over (tensor, args, divisor) triples, each tensor as in
     :func:`_apply_tensor`."""
@@ -205,8 +237,14 @@ def _weighted_sum(ring, start, terms):
     for acc, x in zip(accs, start):
         _accumulate(acc, ring, x, one)
     for tensor, args, divisor in terms:
-        _tensor_into(accs, ring, tensor, args, divisor)
+        _tensor_into(accs, ring, tensor, args, memo, divisor)
     return tuple(_finish(ring, acc) for acc in accs)
+
+
+def _basis_vectors(ring, dim):
+    """The one-hot vector of each basis index, built once per call so
+    the products of one check share their contraction suffixes."""
+    return [as_vector(ring, dim, i) for i in range(dim)]
 
 
 def check_associativity(alg, v=None):
@@ -223,8 +261,10 @@ def check_associativity(alg, v=None):
     ring = alg.ring
     if v is None:
         v = generic_point(ring, alg.dim)
+    v = as_vector(ring, alg.dim, v)
     basis = range(alg.dim)
-    table = {(i, j): star_product(alg, v, i, j)
+    one_hot, memo = _basis_vectors(ring, alg.dim), {}
+    table = {(i, j): _star_product(alg, v, one_hot[i], one_hot[j], memo)
              for i, j in itertools.product(basis, repeat=2)}
     for i, j, k in itertools.product(basis, repeat=3):
         lhs = _combination(ring, alg.dim, table[i, j],
@@ -249,10 +289,11 @@ def _witness(head, lhs, rhs, components=None):
     """``head`` extended by where two series vectors first differ: the
     component (named from ``components`` when given), the smallest
     exponent of the difference there and both coefficients; None when
-    the vectors agree."""
+    the vectors agree.  Coefficient dicts hold no zeros, so two
+    components are equal exactly when their dicts are."""
     for c, (x, y) in enumerate(zip(lhs, rhs)):
-        diff = x - y
-        if not diff.is_zero():
+        if x.coeffs != y.coeffs:
+            diff = x - y
             if components is not None:
                 head["component"] = components[c]
             key = min(diff.coeffs)
@@ -288,7 +329,7 @@ class Morphism:
             return self.phi0
         if n not in self.phi:
             raise MissingArity(f"phi^{n} not supplied")
-        return _apply_tensor(self.ring, self.dim_w, self.phi[n], args)
+        return _apply_tensor(self.ring, self.dim_w, self.phi[n], args, {})
 
 
 def identity_morphism(ring, dim):
@@ -306,22 +347,38 @@ def morphism_from_terms(ring, dim_v, dim_w, terms, phi0=None):
 
 def push_forward(phi, v):
     """phi(v) = phi0 + sum_{n>=1} phi^n(v, ..., v) / n!."""
+    return _push_forward(phi, v, {})
+
+
+def _push_forward(phi, v, memo):
     ring = phi.ring
     v = as_vector(ring, phi.dim_v, v)
     return _weighted_sum(
         ring, phi.phi0, ((phi.phi[n], [v] * n, math.factorial(n))
-                         for n in phi.arities()))
+                         for n in phi.arities()), memo)
 
 
 def derivative(phi, v, a):
     """D_v phi(a) = sum_{n>=1} phi^n(a, v, ..., v) / (n-1)!."""
+    return _derivative(phi, v, a, {})
+
+
+def _derivative(phi, v, a, memo):
     ring = phi.ring
     v = as_vector(ring, phi.dim_v, v)
     a = as_vector(ring, phi.dim_v, a)
     return _weighted_sum(
         ring, [ring.zero()] * phi.dim_w,
         ((phi.phi[n], [a] + [v] * (n - 1), math.factorial(n - 1))
-         for n in phi.arities()))
+         for n in phi.arities()), memo)
+
+
+def _tangent(phi, v, memo):
+    """phi(v) and the image D_v phi(e_l) of each basis vector, with the
+    one-hot vectors, on one contraction memo."""
+    one_hot = _basis_vectors(phi.ring, phi.dim_v)
+    return (_push_forward(phi, v, memo), one_hot,
+            [_derivative(phi, v, e, memo) for e in one_hot])
 
 
 def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
@@ -338,13 +395,15 @@ def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
     if v is None:
         v = generic_point(ring, phi.dim_v)
     v = as_vector(ring, phi.dim_v, v)
-    w = push_forward(phi, v)
-    jac = [derivative(phi, v, l) for l in range(phi.dim_v)]
+    memo = {}
+    w, one_hot, jac = _tangent(phi, v, memo)
     if pairs is None:
         pairs = itertools.combinations_with_replacement(range(phi.dim_v), 2)
     for i, j in pairs:
-        lhs = _combination(ring, phi.dim_w, star_product(alg_v, v, i, j), jac)
-        rhs = star_product(alg_w, w, jac[i], jac[j])
+        _check_indices((i, j), phi.dim_v, "basis")
+        lhs = _combination(ring, phi.dim_w, _star_product(
+            alg_v, v, one_hot[i], one_hot[j], memo), jac)
+        rhs = _star_product(alg_w, w, jac[i], jac[j], memo)
         wit = _witness({"pair": (i, j)}, lhs, rhs, range(phi.dim_w))
         if wit:
             return False, wit
@@ -366,29 +425,30 @@ class Trace:
 
     def apply_tau(self, n, args):
         acc = {}
-        self._tau_into(acc, n, args)
+        self._tau_into(acc, n, args, {})
         return _finish(self.ring, acc)
 
     def apply_tau_pp(self, pts, bulk):
         acc = {}
-        self._tau_pp_into(acc, pts, bulk)
+        self._tau_pp_into(acc, pts, bulk, {})
         return _finish(self.ring, acc)
 
-    def _tau_into(self, acc, n, args, num=1, den=1):
+    def _tau_into(self, acc, n, args, memo, num=1, den=1):
         """Add (num/den) tau^n(args) into the accumulator ``acc``."""
         if n not in self.tau:
             raise MissingArity(f"tau^{n} not supplied")
-        ring, contract = self.ring, _contraction(self.ring, args)
+        ring, contract = self.ring, _contraction(self.ring, args, memo)
         for key, c in self.tau[n].items():
             _accumulate(acc, ring, _as_series(ring, c), contract(key), num, den)
 
-    def _tau_pp_into(self, acc, pts, bulk, den=1):
+    def _tau_pp_into(self, acc, pts, bulk, memo, den=1):
         """Add tau_pp(pts; bulk) / den into the accumulator ``acc``."""
         n = len(bulk)
         if self.tau_pp is None or n not in self.tau_pp:
             raise MissingArity(f"tau_pp with {n} bulk slots not supplied")
         ring = self.ring
-        pts_part, bulk_part = _contraction(ring, pts), _contraction(ring, bulk)
+        pts_part = _contraction(ring, pts, memo)
+        bulk_part = _contraction(ring, bulk, memo)
         for (pkey, bkey), c in self.tau_pp[n].items():
             _accumulate(acc, ring, _as_series(ring, c) * pts_part(pkey),
                         bulk_part(bkey), 1, den)
@@ -410,11 +470,15 @@ def trace_from_terms(ring, dim, terms, pp_terms=None):
 
 def potential(trace, v):
     """tau(v) = sum_n tau^n(v, ..., v) / n!."""
+    return _potential(trace, v, {})
+
+
+def _potential(trace, v, memo):
     ring = trace.ring
     v = as_vector(ring, trace.dim, v)
     acc = {}
     for n in trace.arities():
-        trace._tau_into(acc, n, [v] * n, 1, math.factorial(n))
+        trace._tau_into(acc, n, [v] * n, memo, 1, math.factorial(n))
     return _finish(ring, acc)
 
 
@@ -443,13 +507,15 @@ def compose_trace(tau_w, phi, v, order=None):
     if order is None:
         order = ring.t_cap
 
-    subst = potential(tau_w, push_forward(phi, v))
+    memo = {}
+    subst = _potential(tau_w, _push_forward(phi, v, memo), memo)
 
     max_r = max(tau_w.arities(), default=0)
-    images = {}
-    for m in sorted(set(phi.arities()) | {0}):
+    images = {0: phi.phi0}
+    for m in phi.arities():
         if m <= order:
-            images[m] = phi.apply_phi(m, [v] * m)
+            images[m] = _apply_tensor(ring, phi.dim_w, phi.phi[m], [v] * m,
+                                      memo)
     curved = not phi.flat
     acc = {}
     for n in range(0, order + 1):
@@ -464,7 +530,7 @@ def compose_trace(tau_w, phi, v, order=None):
                 if r not in tau_w.tau:
                     continue
                 args = [images[m] for m in profile] + [images[0]] * k
-                tau_w._tau_into(acc, r, args, count,
+                tau_w._tau_into(acc, r, args, memo, count,
                                 math.factorial(n) * math.factorial(k))
     return ComposedTrace(subst, _finish(ring, acc))
 
@@ -496,6 +562,10 @@ def _profile_count(n, profile):
 
 def bilinear_form(trace, v, a, b):
     """g_v(a, b) = sum_n tau_pp^(n+2)(a, b; v, ..., v) / n!."""
+    return _bilinear_form(trace, v, a, b, {})
+
+
+def _bilinear_form(trace, v, a, b, memo):
     ring = trace.ring
     v = as_vector(ring, trace.dim, v)
     a = as_vector(ring, trace.dim, a)
@@ -504,7 +574,7 @@ def bilinear_form(trace, v, a, b):
         raise MissingArity("trace has no two-point-class family")
     acc = {}
     for n in sorted(trace.tau_pp):
-        trace._tau_pp_into(acc, [a, b], [v] * n, math.factorial(n))
+        trace._tau_pp_into(acc, [a, b], [v] * n, memo, math.factorial(n))
     return _finish(ring, acc)
 
 
@@ -520,7 +590,7 @@ def pp_family_from(tau_w, phi, bulk_max):
         raise CurvedMorphismUnsupported("the induced family needs phi0 = 0")
     ring = phi.ring
     dim = phi.dim_v
-    basis = [as_vector(ring, dim, i) for i in range(dim)]
+    basis, memo = _basis_vectors(ring, dim), {}
     tau_pp = {}
     for n in range(0, bulk_max + 1):
         tensor = {}
@@ -539,14 +609,15 @@ def pp_family_from(tau_w, phi, bulk_max):
                         continue
                     pts, bulk_args = [], []
                     for block in blocks:
-                        img = phi.apply_phi(len(block), [
-                            basis[(pidx if tag == "p" else bidx)[i]]
-                            for tag, i in block])
+                        img = _apply_tensor(
+                            ring, phi.dim_w, phi.phi[len(block)],
+                            [basis[(pidx if tag == "p" else bidx)[i]]
+                             for tag, i in block], memo)
                         if any(tag == "p" for tag, _ in block):
                             pts.append(img)
                         else:
                             bulk_args.append(img)
-                    tau_w._tau_pp_into(acc, pts, bulk_args)
+                    tau_w._tau_pp_into(acc, pts, bulk_args, memo)
                 total = _finish(ring, acc)
                 if not total.is_zero():
                     tensor[(pidx, bidx)] = total
@@ -567,11 +638,11 @@ def check_isometry(tau_v, tau_w, phi, v=None):
     if v is None:
         v = generic_point(ring, phi.dim_v)
     v = as_vector(ring, phi.dim_v, v)
-    w = push_forward(phi, v)
-    jac = [derivative(phi, v, l) for l in range(phi.dim_v)]
+    memo = {}
+    w, one_hot, jac = _tangent(phi, v, memo)
     for i, j in itertools.combinations_with_replacement(range(phi.dim_v), 2):
-        lhs = bilinear_form(tau_v, v, i, j)
-        rhs = bilinear_form(tau_w, w, jac[i], jac[j])
+        lhs = _bilinear_form(tau_v, v, one_hot[i], one_hot[j], memo)
+        rhs = _bilinear_form(tau_w, w, jac[i], jac[j], memo)
         wit = _witness({"pair": (i, j)}, (lhs,), (rhs,))
         if wit:
             return False, wit
@@ -580,32 +651,38 @@ def check_isometry(tau_v, tau_w, phi, v=None):
 
 # -- quantum differential equation -------------------------------------------
 #
-# The solver's matrices are square lists of rows whose entries map powers
-# of hbar^-1 to nonzero Fractions: a scalar c is {0: c}, zero is {}.
+# The solver's matrices are sparse maps {(row, column): entry} that hold
+# only the nonzero entries; an entry maps powers of hbar^-1 to nonzero
+# Fractions, so a scalar c is {0: c} and a zero entry is absent.
 
 def _mat_mul(a, b):
-    """The product a b, a convolution over the hbar powers."""
-    cols = list(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in cols:
-            acc = {}
-            for x, y in zip(row, col):
-                if x and y:
-                    for h1, c1 in x.items():
-                        for h2, c2 in y.items():
-                            acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
-            out_row.append({h: c for h, c in acc.items() if c})
-        out.append(out_row)
-    return out
+    """The product a b, a convolution over the hbar powers.  Each stored
+    entry (i, k) of ``a`` meets only the stored entries of row k of
+    ``b``, found through a row index."""
+    rows = {}
+    for (k, j), y in b.items():
+        rows.setdefault(k, []).append((j, y))
+    sums = {}
+    for (i, k), x in a.items():
+        for j, y in rows.get(k, ()):
+            acc = sums.setdefault((i, j), {})
+            for h1, c1 in x.items():
+                for h2, c2 in y.items():
+                    acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
+    return {ij: entry for ij, acc in sums.items()
+            if (entry := {h: c for h, c in acc.items() if c})}
 
 
 def _mat_add(a, b, sign=1):
-    """a + sign b."""
-    return [[{h: c for h in x.keys() | y.keys()
-              if (c := x.get(h, 0) + sign * y.get(h, 0))}
-             for x, y in zip(a_row, b_row)] for a_row, b_row in zip(a, b)]
+    """a + sign b; an entry that cancels to zero is dropped."""
+    out = dict(a)
+    for ij, y in b.items():
+        x = out.pop(ij, {})
+        entry = {h: c for h in x.keys() | y.keys()
+                 if (c := x.get(h, 0) + sign * y.get(h, 0))}
+        if entry:
+            out[ij] = entry
+    return out
 
 
 @dataclass
@@ -667,8 +744,8 @@ def _shift_h(s, delta):
 
 def _xi_star_matrix(alg, xi, ring):
     """The matrix of xi* at the basepoint, moved into the solver ring."""
-    cols = [star_product(alg, [ring.zero()] * alg.dim, xi, j)
-            for j in range(alg.dim)]
+    memo, basepoint = {}, (alg.ring.zero(),) * alg.dim
+    cols = [_star_product(alg, basepoint, xi, j, memo) for j in range(alg.dim)]
     if any(any(texp) or hpow
            for col in cols for entry in col for texp, _, hpow in entry.coeffs):
         raise DegenerateQDE("the product at the basepoint must be constant")
@@ -689,7 +766,10 @@ def solve_qde(alg, xi=1, q_cap=3):
     B = (denom/k) hbar^-1 A, sigma_k is the sum over j >= 0 of
     ad_B0^j(sum_d B_d sigma_(k-d)).  Every matrix step is one
     :func:`_mat_mul` or :func:`_mat_add` over exact hbar^-1
-    polynomials.  Returns the matrix solution with identity leading
+    polynomials, on sparse matrices that store only their nonzero
+    entries: the parts A_d and the terms of each order are mostly zero,
+    so a product costs the stored entry pairs that meet, not dim^3
+    entry products.  Returns the matrix solution with identity leading
     term; its residual in the solved gauge is exactly zero.
     """
     dim = alg.dim
@@ -698,48 +778,45 @@ def solve_qde(alg, xi=1, q_cap=3):
     ring = SeriesRing(tvars=(), q_denominator=denom, t_cap=0,
                       q_cap=q_cap, h_cap=qnum_cap * (dim + 1) + 2)
 
-    def zero():
-        return [[{} for _ in range(dim)] for _ in range(dim)]
-
     # A_d by q exponent numerator d
-    parts = {0: zero()}
+    parts = {0: {}}
     for i, row in enumerate(_xi_star_matrix(alg, xi, ring)):
         for j, entry in enumerate(row):
             for (_, d, _), c in entry.coeffs.items():
-                parts.setdefault(d, zero())[i][j][0] = c
+                parts.setdefault(d, {})[i, j] = {0: c}
     a0 = parts[0]
 
     power = a0
     for _ in range(dim):
         power = _mat_mul(power, a0)
-    if any(map(any, power)):
+    if power:
         raise DegenerateQDE("classical part of the product is not nilpotent")
 
-    sigma = {0: [[{0: Fraction(1)} if i == j else {} for j in range(dim)]
-                 for i in range(dim)]}
+    sigma = {0: {(i, i): {0: Fraction(1)} for i in range(dim)}}
     for k in range(1, qnum_cap + 1):
         rate = Fraction(denom, k)
-        b = {d: [[{1: e[0] * rate} if e else {} for e in row] for row in a_d]
+        b = {d: {ij: {1: e[0] * rate} for ij, e in a_d.items()}
              for d, a_d in parts.items()}
-        term = zero()
+        term = {}
         for d, b_d in b.items():
             if d and k - d in sigma:
                 term = _mat_add(term, _mat_mul(b_d, sigma[k - d]))
-        sk = zero()
+        sk = {}
         j = 0
-        while any(map(any, term)):
+        while term:
             sk = _mat_add(sk, term)
             term = _mat_add(_mat_mul(b[0], term), _mat_mul(term, b[0]), -1)
             j += 1
             if j > dim * dim + 2:
                 raise DegenerateQDE("adjoint action failed to nilpotate")
-        if any(map(any, sk)):
+        if sk:
             sigma[k] = sk
 
     mats = tuple(tuple(Series(ring, {((), k, h): c for k, s_k in sigma.items()
-                                     for h, c in s_k[i][j].items()})
+                                     for h, c in s_k.get((i, j), {}).items()})
                        for j in range(dim)) for i in range(dim))
-    classical = tuple(tuple(e.get(0, Fraction(0)) for e in row) for row in a0)
+    classical = tuple(tuple(a0.get((i, j), {}).get(0, Fraction(0))
+                            for j in range(dim)) for i in range(dim))
     return QdeSolution(alg, xi, ring, mats, classical)
 
 

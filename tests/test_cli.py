@@ -488,6 +488,23 @@ class TestUsage:
         assert main(argv) == 0
         assert "residual zero: True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command, text, value", [
+        ("solve-qde", qde_spec(xi=True), "True"),
+        ("solve-qde", qde_spec(mu=[{"inputs": [False, True], "output": 1}]),
+         "False"),
+        ("check-associativity",
+         qde_spec(mu=[{"inputs": [0, 1], "output": True}]), "True"),
+        ("check-star-morphism", star_morphism_spec([True, 0]), "True"),
+    ], ids=["xi", "inputs", "output", "pairs"])
+    def test_boolean_for_an_index_exits_two(self, command, text, value,
+                                            tmp_path, capsys):
+        # a JSON true or false used to be read as the index 1 or 0
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["cohft", command, "--spec", str(path)]) == 2
+        assert (f"index {value} is not an integer"
+                in assert_one_line_error(capsys))
+
     @pytest.mark.parametrize("key", ["order", "q_denominator"])
     def test_string_ring_size_exits_two(self, key, tmp_path, capsys):
         # named, where comparing the string with 0 ended in "'<' not

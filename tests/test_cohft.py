@@ -12,6 +12,7 @@ from treelevel.cohft import (
     Morphism,
     Trace,
     algebra_from_terms,
+    as_vector,
     bilinear_form,
     check_associativity,
     check_isometry,
@@ -35,9 +36,10 @@ from treelevel.cohft import (
 from treelevel.errors import (
     CurvedMorphismUnsupported,
     DegenerateQDE,
+    InvalidArgument,
     MissingArity,
 )
-from treelevel.series import SeriesRing
+from treelevel.series import Series, SeriesRing
 
 
 def ring1(t_cap=5):
@@ -190,15 +192,19 @@ class TestTablesMatchDefinitions:
                     == repr(ref_isometry(source, tau_w, phi)))
 
     def test_associativity_takes_dim_squared_products(self, monkeypatch):
+        # the table's products run through the private form that takes
+        # the call's contraction memo, one memo for all of them
         calls = []
+        product = cohft._star_product
 
         def counted(*args):
             calls.append(args)
-            return star_product(*args)
+            return product(*args)
 
-        monkeypatch.setattr(cohft, "star_product", counted)
+        monkeypatch.setattr(cohft, "_star_product", counted)
         assert check_associativity(small_quantum_projective(6)) == (True, None)
         assert len(calls) == 36
+        assert len({id(args[-1]) for args in calls}) == 1
 
 
 class TestMorphism:
@@ -447,3 +453,161 @@ def qde_pin_solutions():
 # SHA-256 of the solutions above, computed at 60c0deb before the solver
 # was rewritten around one matrix product
 QDE_SHA256 = "c7781349c71e6fce9552e4f2a94fc5c2a0bb5f9833c1fd5af3f3bb9787202711"
+
+
+# -- the sparse solver kernels against the dense ones they replaced --
+
+def dense_mat_mul(a, b):
+    """The product a b, a convolution over the hbar powers."""
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        out_row = []
+        for col in cols:
+            acc = {}
+            for x, y in zip(row, col):
+                if x and y:
+                    for h1, c1 in x.items():
+                        for h2, c2 in y.items():
+                            acc[h1 + h2] = acc.get(h1 + h2, 0) + c1 * c2
+            out_row.append({h: c for h, c in acc.items() if c})
+        out.append(out_row)
+    return out
+
+
+def dense_mat_add(a, b, sign=1):
+    """a + sign b."""
+    return [[{h: c for h in x.keys() | y.keys()
+              if (c := x.get(h, 0) + sign * y.get(h, 0))}
+             for x, y in zip(a_row, b_row)] for a_row, b_row in zip(a, b)]
+
+
+def to_dense(m, dim):
+    return [[m.get((i, j), {}) for j in range(dim)] for i in range(dim)]
+
+
+def to_sparse(rows):
+    """The stored entries of a dense matrix; a sparse kernel's result
+    must equal this exactly, so it may store no empty entry."""
+    return {(i, j): e for i, row in enumerate(rows)
+            for j, e in enumerate(row) if e}
+
+
+def random_matrix(rng, dim, density):
+    """Entries with hbar^-1 powers 0..2 and coefficients in {-2, -1, 1,
+    2}/{1, 2}, so that sums of products often cancel."""
+    m = {}
+    for i in range(dim):
+        for j in range(dim):
+            if rng.random() < density:
+                m[i, j] = {h: Fraction(rng.choice((-2, -1, 1, 2)),
+                                       rng.randint(1, 2))
+                           for h in rng.sample(range(3), rng.randint(1, 2))}
+    return m
+
+
+class TestSparseKernels:
+    def test_against_dense(self):
+        rng = random.Random(2501)
+        cancelled = 0
+        for _ in range(600):
+            dim = rng.randint(1, 5)
+            a = random_matrix(rng, dim, rng.choice((0.0, 0.2, 0.5, 1.0)))
+            b = random_matrix(rng, dim, rng.choice((0.0, 0.2, 0.5, 1.0)))
+            da, db = to_dense(a, dim), to_dense(b, dim)
+            product = dense_mat_mul(da, db)
+            assert cohft._mat_mul(a, b) == to_sparse(product)
+            for sign in (1, -1):
+                assert (cohft._mat_add(a, b, sign)
+                        == to_sparse(dense_mat_add(da, db, sign)))
+            met = {(i, j) for (i, k) in a for (k2, j) in b if k == k2}
+            cancelled += len(met - to_sparse(product).keys())
+        assert cancelled > 0
+
+    def test_sums_that_cancel(self):
+        a = {(0, 0): {0: Fraction(1)}, (0, 1): {0: Fraction(1), 1: Fraction(2)}}
+        b = {(0, 0): {0: Fraction(1)}, (1, 0): {0: Fraction(-1)}}
+        # (0, 0): 1 - 1 - 2 hbar^-1 keeps only the hbar^-1 term
+        assert cohft._mat_mul(a, b) == {(0, 0): {1: Fraction(-2)}}
+        # and with no hbar^-1 term the whole entry cancels
+        assert cohft._mat_mul({(0, 0): {0: Fraction(1)},
+                               (0, 1): {0: Fraction(1)}}, b) == {}
+        assert cohft._mat_add(a, a, -1) == {}
+        assert cohft._mat_add(a, {(0, 1): {1: Fraction(-2)}}) == {
+            (0, 0): {0: Fraction(1)}, (0, 1): {0: Fraction(1)}}
+
+    def test_empty_factors(self):
+        a = random_matrix(random.Random(7), 3, 1.0)
+        assert cohft._mat_mul({}, a) == cohft._mat_mul(a, {}) == {}
+        assert cohft._mat_add(a, {}) == cohft._mat_add({}, a) == a
+        assert cohft._mat_add({}, a, -1) == {
+            ij: {h: -c for h, c in e.items()} for ij, e in a.items()}
+        assert cohft._mat_add({}, {}) == {}
+
+
+# -- the witness against the subtracting form it replaced --
+
+def subtracting_witness(head, lhs, rhs, components=None):
+    for c, (x, y) in enumerate(zip(lhs, rhs)):
+        diff = x - y
+        if not diff.is_zero():
+            if components is not None:
+                head["component"] = components[c]
+            key = min(diff.coeffs)
+            return {**head, "exponent": key,
+                    "lhs": x.coeffs.get(key, Fraction(0)),
+                    "rhs": y.coeffs.get(key, Fraction(0))}
+    return None
+
+
+def test_witness_matches_subtraction():
+    r = SeriesRing(tvars=["t0", "t1"], t_cap=3)
+    keys = [((a, b), 0, 0) for a in range(3) for b in range(3 - a)]
+    rng = random.Random(2502)
+
+    def entry():
+        return Series(r, {k: Fraction(rng.randint(-2, 2), rng.randint(1, 2))
+                          for k in rng.sample(keys, rng.randint(0, 3))})
+
+    found = 0
+    for _ in range(500):
+        lhs = tuple(entry() for _ in range(3))
+        rhs = tuple(x if rng.random() < 0.7 else entry() for x in lhs)
+        for components in (None, ("a", "b", "c")):
+            wit = cohft._witness({"pair": (0, 1)}, lhs, rhs, components)
+            assert wit == subtracting_witness({"pair": (0, 1)}, lhs, rhs,
+                                              components)
+            found += wit is not None
+    assert 0 < found < 1000
+
+
+# -- a bool is not an index --
+
+BOOL_INDEX_CALLS = {
+    "as-vector": lambda r, alg: as_vector(r, 2, True),
+    "star-product": lambda r, alg: star_product(
+        alg, generic_point(r, 2), False, 1),
+    "mu-inputs": lambda r, alg: algebra_from_terms(
+        r, ("1", "x"), [((False, True), 0, 1)]),
+    "mu-output": lambda r, alg: algebra_from_terms(
+        r, ("1", "x"), [((0, 1), True, 1)]),
+    "phi-output": lambda r, alg: morphism_from_terms(
+        r, 2, 2, [((0,), False, 1)]),
+    "tau-inputs": lambda r, alg: trace_from_terms(r, 2, [((True,), 1)]),
+    "tau-pp-points": lambda r, alg: trace_from_terms(
+        r, 2, [], pp_terms=[((0, True), (), 1)]),
+    "pairs": lambda r, alg: check_star_morphism(
+        identity_morphism(r, 2), alg, alg, pairs=[(True, 0)]),
+    "qde-xi": lambda r, alg: solve_qde(alg, xi=True, q_cap=1),
+}
+
+
+@pytest.mark.parametrize("call", BOOL_INDEX_CALLS.values(),
+                         ids=BOOL_INDEX_CALLS.keys())
+def test_bool_index_refused(call):
+    r = SeriesRing(tvars=["t0", "t1"], t_cap=2, q_cap=1)
+    alg = algebra_from_terms(r, ("1", "x"),
+                             [((0, 0), 0, 1), ((0, 1), 1, 1),
+                              ((1, 1), 0, r.q_power(1))])
+    with pytest.raises(InvalidArgument, match="is not an integer"):
+        call(r, alg)

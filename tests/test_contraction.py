@@ -11,6 +11,8 @@ The pinned digest fixes the values of the calculus built on top.
 
 import hashlib
 import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from treelevel.cohft import (
     compose_trace,
     derivative,
     generic_point,
+    identity_morphism,
     morphism_from_terms,
     pp_family_from,
     push_forward,
@@ -40,6 +43,7 @@ from treelevel.cohft import (
     star_product,
     trace_from_terms,
 )
+from treelevel.combis import set_partitions
 from treelevel.errors import InvalidArgument
 from treelevel.series import Series, SeriesRing
 
@@ -307,3 +311,212 @@ PINNED_DIGEST = "cd50cfe16748d913a7e8776d0ed9e0640632d190be311a718b3c92120845854
 def test_pinned_calculus_digest():
     text = "\n".join(_canon(x) for x in calculus_values())
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_DIGEST
+
+
+# -- one contraction memo per public call, against the dense loops --
+#
+# compose_trace, check_star_morphism, pp_family_from and check_isometry
+# each share one memo across every tensor they evaluate.  The references
+# below rebuild each from the dense loops above, with no memo at all.
+
+def ref_weighted(ring, dim_out, start, terms):
+    out = list(start)
+    for tensor, args, divisor in terms:
+        image = ref_apply_tensor(ring, dim_out, tensor, args)
+        out = [x + y / divisor for x, y in zip(out, image)]
+    return tuple(out)
+
+
+def ref_push_forward(phi, v):
+    return ref_weighted(phi.ring, phi.dim_w, phi.phi0,
+                        [(phi.phi[n], [v] * n, math.factorial(n))
+                         for n in phi.phi])
+
+
+def ref_derivative(phi, v, a):
+    ring = phi.ring
+    return ref_weighted(ring, phi.dim_w, [ring.zero()] * phi.dim_w,
+                        [(phi.phi[n], [a] + [v] * (n - 1),
+                          math.factorial(n - 1)) for n in phi.phi])
+
+
+def ref_star(alg, v, a, b):
+    ring = alg.ring
+    return ref_weighted(ring, alg.dim, [ring.zero()] * alg.dim,
+                        [(alg.mu[n], [a, b] + [v] * (n - 2),
+                          math.factorial(n - 2)) for n in alg.mu])
+
+
+def one_hot(ring, dim, i):
+    return tuple(ring.one() if j == i else ring.zero() for j in range(dim))
+
+
+def ref_witness(head, lhs, rhs, components=None):
+    for c, (x, y) in enumerate(zip(lhs, rhs)):
+        diff = x - y
+        if not diff.is_zero():
+            if components is not None:
+                head["component"] = components[c]
+            key = min(diff.coeffs)
+            return {**head, "exponent": key,
+                    "lhs": x.coeffs.get(key, Fraction(0)),
+                    "rhs": y.coeffs.get(key, Fraction(0))}
+    return None
+
+
+def ref_compose_trace(tau, phi, v, order):
+    """Both routes of compose_trace, the partition route summed over
+    every set partition of the diagonal inputs, one at a time."""
+    ring = phi.ring
+    w = ref_push_forward(phi, v)
+    subst = ring.zero()
+    for n, tensor in tau.tau.items():
+        subst = subst + ref_apply_scalar_tensor(ring, tensor, [w] * n) \
+            / math.factorial(n)
+    images = {m: ref_apply_tensor(ring, phi.dim_w, phi.phi[m], [v] * m)
+              for m in phi.phi}
+    max_r = max(tau.tau, default=0)
+    total = ring.zero()
+    for n in range(order + 1):
+        for blocks in set_partitions(range(n)):
+            sizes = [len(block) for block in blocks]
+            if any(s not in images for s in sizes):
+                continue
+            for k in range(max_r - len(sizes) + 1):
+                if len(sizes) + k in tau.tau:
+                    args = [images[s] for s in sizes] + [phi.phi0] * k
+                    total = total + ref_apply_scalar_tensor(
+                        ring, tau.tau[len(sizes) + k], args) \
+                        / (math.factorial(n) * math.factorial(k))
+    return subst, total
+
+
+def ref_star_morphism(phi, alg_v, alg_w, v):
+    ring = phi.ring
+    w = ref_push_forward(phi, v)
+    basis = [one_hot(ring, phi.dim_v, i) for i in range(phi.dim_v)]
+    jac = [ref_derivative(phi, v, e) for e in basis]
+    for i, j in itertools.combinations_with_replacement(range(phi.dim_v), 2):
+        lhs = ref_derivative(phi, v, ref_star(alg_v, v, basis[i], basis[j]))
+        rhs = ref_star(alg_w, w, jac[i], jac[j])
+        wit = ref_witness({"pair": (i, j)}, lhs, rhs, range(phi.dim_w))
+        if wit:
+            return False, wit
+    return True, None
+
+
+def ref_pp_family(tau_w, phi, bulk_max):
+    ring, dim = phi.ring, phi.dim_v
+    tau_pp = {}
+    for n in range(bulk_max + 1):
+        tensor = {}
+        for pidx in itertools.combinations_with_replacement(range(dim), 2):
+            for bidx in itertools.combinations_with_replacement(range(dim), n):
+                slots = [one_hot(ring, dim, i) for i in pidx + bidx]
+                total = ring.zero()
+                for blocks in set_partitions(range(n + 2)):
+                    if (any({0, 1} <= block for block in blocks)
+                            or any(len(b) not in phi.phi for b in blocks)
+                            or len(blocks) - 2 not in tau_w.tau_pp):
+                        continue
+                    images = [(min(block), ref_apply_tensor(
+                        ring, phi.dim_w, phi.phi[len(block)],
+                        [slots[s] for s in sorted(block)])) for block in blocks]
+                    pts = [img for first, img in images if first < 2]
+                    bulk = [img for first, img in images if first >= 2]
+                    total = total + ref_apply_tau_pp(
+                        ring, phi.dim_w, tau_w.tau_pp[len(bulk)], pts, bulk)
+                if not total.is_zero():
+                    tensor[(pidx, bidx)] = total
+        tau_pp[n] = tensor
+    return tau_pp
+
+
+def ref_bilinear(trace, v, a, b):
+    total = trace.ring.zero()
+    for n, tensor in trace.tau_pp.items():
+        total = total + ref_apply_tau_pp(trace.ring, trace.dim, tensor,
+                                         [a, b], [v] * n) / math.factorial(n)
+    return total
+
+
+def ref_isometry(tau_v, tau_w, phi, v):
+    ring = phi.ring
+    w = ref_push_forward(phi, v)
+    basis = [one_hot(ring, phi.dim_v, i) for i in range(phi.dim_v)]
+    jac = [ref_derivative(phi, v, e) for e in basis]
+    for i, j in itertools.combinations_with_replacement(range(phi.dim_v), 2):
+        lhs = ref_bilinear(tau_v, v, basis[i], basis[j])
+        rhs = ref_bilinear(tau_w, w, jac[i], jac[j])
+        wit = ref_witness({"pair": (i, j)}, (lhs,), (rhs,))
+        if wit:
+            return False, wit
+    return True, None
+
+
+def pp_target(ring, seed, bulk_max=3):
+    """A dense two-point-class family on a 2-dimensional target."""
+    rng = random.Random(seed)
+    terms = [(p, b, Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 3)))
+             for n in range(bulk_max + 1)
+             for p in itertools.combinations_with_replacement(range(2), 2)
+             for b in itertools.combinations_with_replacement(range(2), n)]
+    return trace_from_terms(ring, 2, [], pp_terms=terms)
+
+
+def curved(phi, seed):
+    rng = random.Random(seed)
+    ring = phi.ring
+    phi0 = tuple(ring.scalar(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+                 for _ in range(phi.dim_w))
+    return Morphism(ring, phi.dim_v, phi.dim_w, phi.phi, phi0)
+
+
+MEMO_SEEDS = range(6)
+
+
+class TestSharedMemoAgainstDenseLoops:
+    @pytest.mark.parametrize("seed", MEMO_SEEDS)
+    def test_compose_trace(self, seed):
+        # t_cap 3 truncates the degree-4 and -5 terms of the trace
+        ring = SeriesRing(tvars=["t0", "t1"], t_cap=3 + seed % 3)
+        v = generic_point(ring, 2)
+        tau = random_trace(seed + 20, ring, 2, max_arity=4)
+        flat = random_flat_morphism(seed, ring, 2, 2, max_arity=3)
+        for phi in (flat, curved(flat, seed)):
+            for order in (None, 2):
+                ct = compose_trace(tau, phi, v, order)
+                subst, total = ref_compose_trace(
+                    tau, phi, v, ring.t_cap if order is None else order)
+                assert ct.substitution == subst
+                assert ct.partition_sum == total
+
+    @pytest.mark.parametrize("seed", MEMO_SEEDS)
+    def test_check_star_morphism(self, seed):
+        alg = random_even_algebra(seed, dim=2, max_arity=4, t_cap=2 + seed % 2)
+        other = random_even_algebra(seed + 30, dim=2, max_arity=3,
+                                    t_cap=2 + seed % 2)
+        v = generic_point(alg.ring, 2)
+        flat = random_flat_morphism(seed, alg.ring, 2, 2, max_arity=3)
+        for phi in (flat, curved(flat, seed)):
+            for target in (alg, other):
+                assert (repr(check_star_morphism(phi, alg, target))
+                        == repr(ref_star_morphism(phi, alg, target, v)))
+        ident = identity_morphism(alg.ring, 2)
+        assert (check_star_morphism(ident, alg, alg)
+                == ref_star_morphism(ident, alg, alg, v) == (True, None))
+
+    @pytest.mark.parametrize("seed", MEMO_SEEDS)
+    def test_pp_family_and_isometry(self, seed):
+        # pp_family_from evaluates the target family on fresh block
+        # images, dropped after each partition, so a memo keyed by bare
+        # ids would meet recycled ids here
+        ring = SeriesRing(tvars=["t0", "t1"], t_cap=2 + seed % 3)
+        tau_w = pp_target(ring, seed)
+        phi = random_flat_morphism(seed + 40, ring, 2, 2, max_arity=3)
+        tau_v = pp_family_from(tau_w, phi, bulk_max=3)
+        assert tau_v.tau_pp == ref_pp_family(tau_w, phi, 3)
+        v = generic_point(ring, 2)
+        for source in (tau_v, tau_w):
+            assert (repr(check_isometry(source, tau_w, phi))
+                    == repr(ref_isometry(source, tau_w, phi, v)))

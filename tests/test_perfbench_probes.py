@@ -51,10 +51,40 @@ def test_every_probe_target_exists():
         assert callable(getattr(obj, attr, None)), f"{owner}.{attr}"
 
 
-def test_workloads_import():
+def load(name):
+    """A module of ``perfbench/`` by file name, without running the harness."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", PERFBENCH / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+        "perfbench_" + name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workloads_import():
+    workloads = load("workloads")
     assert set(workloads.WORKLOADS) == {"enumerate", "degenerate", "cones",
                                         "calculus"}
+
+
+# Term pairs that series._accumulate multiplies in one calculus body at
+# seed 1: 109772 with a contraction memo per tensor evaluation, 59164
+# with one memo per public call.  The bound leaves room for small changes
+# of the calculus but not for losing the shared memo.
+CALCULUS_TERM_PAIRS_MAX = 70000
+
+
+def test_calculus_work_count(monkeypatch):
+    from treelevel import cohft, series
+
+    kernel = series._accumulate
+    pairs = [0]
+
+    def counted(acc, ring, a, b, num=1, den=1):
+        pairs[0] += len(a.coeffs) * len(b.coeffs)
+        kernel(acc, ring, a, b, num, den)
+
+    monkeypatch.setattr(series, "_accumulate", counted)
+    monkeypatch.setattr(cohft, "_accumulate", counted)
+    workload = load("workloads").Calculus(1)
+    workload.body(load("spans").NullTracer())
+    assert 0 < pairs[0] <= CALCULUS_TERM_PAIRS_MAX
