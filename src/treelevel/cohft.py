@@ -35,21 +35,21 @@ def _as_series(ring, c):
 
 
 def as_vector(ring, dim, x):
-    """Coerce a basis index, scalar list or series vector to a series vector.
-
-    A tuple of ``dim`` series is returned as it is, so a vector keeps its
-    identity, which the contraction memo of one call is keyed by.
-    """
+    """Coerce a basis index, or a list of ``dim`` scalars or series, to a
+    fresh tuple of series; a bool is refused as an index or an entry.
+    A public calculus function coerces each vector here once, and the
+    contraction memo of its call keys the vector by that tuple's id."""
     if isinstance(x, int):
         _check_indices((x,), dim, "basis")
         return tuple(ring.one() if i == x else ring.zero() for i in range(dim))
-    if (isinstance(x, tuple) and len(x) == dim
-            and all(isinstance(entry, Series) for entry in x)):
-        return x
-    out = tuple(_as_series(ring, entry) for entry in x)
+    out = []
+    for entry in x:
+        if isinstance(entry, bool):
+            raise InvalidArgument(f"vector entry {entry!r} is not a scalar")
+        out.append(_as_series(ring, entry))
     if len(out) != dim:
         raise ValueError("vector has the wrong length")
-    return out
+    return tuple(out)
 
 
 def generic_point(ring, dim):
@@ -87,11 +87,13 @@ def _contraction(ring, args, memo):
     ``memo`` is the contraction memo of one public call, made empty by
     that call and dropped when it returns.  It keeps one table of
     suffix sums per argument suffix, keyed by the ring and the
-    identities of the suffix's vectors, so the tensors evaluated in one
-    check share every suffix they have in common: a star product's
-    trailing copies of v, the one-hot vector of a basis index, a
-    block image of the partition sum.  Each entry holds its suffix
-    tuple, so no id in a key can be recycled while the memo lives.
+    identities of the suffix's vectors.  The call coerces each vector
+    it is given once and passes that tuple on, so the tensors evaluated
+    in one check share every suffix they have in common: a star
+    product's trailing copies of v, the one-hot vector of a basis
+    index, a block image of the partition sum.  Each entry holds its
+    suffix tuple, so no id in a key can be recycled while the memo
+    lives.
     """
     n = len(args)
     tables = []
@@ -192,6 +194,9 @@ def algebra_from_terms(ring, basis, terms):
     """Build an algebra from (inputs, output index, coefficient) triples."""
     basis = tuple(basis)
     mu = _tensors_from_terms(ring, terms, len(basis), len(basis))
+    if min(mu, default=2) < 2:
+        raise InvalidArgument(
+            f"a mu term needs 2 or more inputs, not {min(mu)}")
     return CohFTAlgebra(ring, basis, mu)
 
 
@@ -210,35 +215,37 @@ def small_quantum_projective(k, ring=None, t_cap=4, q_cap=4):
     return algebra_from_terms(ring, tuple(f"xi^{i}" for i in range(k)), terms)
 
 
-def star_product(alg, v, a, b):
-    """a *_v b = sum_n mu^n(a, b, v, ..., v) / (n-2)! within the caps."""
-    return _star_product(alg, v, a, b, {})
-
-
-def _star_product(alg, v, a, b, memo):
-    ring = alg.ring
-    if 2 not in alg.mu:
-        raise MissingArity("a product needs the arity-two tensor")
-    a = as_vector(ring, alg.dim, a)
-    b = as_vector(ring, alg.dim, b)
-    v = as_vector(ring, alg.dim, v)
-    return _weighted_sum(
-        ring, [ring.zero()] * alg.dim,
-        ((alg.mu[n], [a, b] + [v] * (n - 2), math.factorial(n - 2))
-         for n in alg.arities()), memo)
-
-
-def _weighted_sum(ring, start, terms, memo):
-    """The series vector ``start`` plus the sum of tensor(args) / divisor
-    over (tensor, args, divisor) triples, each tensor as in
-    :func:`_apply_tensor`."""
-    accs = [{} for _ in start]
-    one = ring.one()
+def _taylor(ring, start, family, fixed, v, memo):
+    """``start`` + sum_n family[n](*fixed, v, ..., v) / (n - len(fixed))!
+    over the arities n of ``family``: the star product, push-forward and
+    derivative, on vectors coerced by the public call that owns ``memo``."""
+    accs, one = [{} for _ in start], ring.one()
     for acc, x in zip(accs, start):
         _accumulate(acc, ring, x, one)
-    for tensor, args, divisor in terms:
-        _tensor_into(accs, ring, tensor, args, memo, divisor)
+    for n in sorted(family):
+        k = n - len(fixed)
+        _tensor_into(accs, ring, family[n], [*fixed] + [v] * k, memo,
+                     math.factorial(k))
     return tuple(_finish(ring, acc) for acc in accs)
+
+
+def star_product(alg, v, a, b):
+    """a *_v b = sum_n mu^n(a, b, v, ..., v) / (n-2)! within the caps."""
+    _need_product(alg)
+    a, b, v = (as_vector(alg.ring, alg.dim, x) for x in (a, b, v))
+    return _star(alg, v, a, b, {})
+
+
+def _need_product(alg):
+    if 2 not in alg.mu:
+        raise MissingArity("a product needs the arity-two tensor")
+
+
+def _star(alg, v, a, b, memo):
+    """a *_v b on coerced vectors, on the caller's contraction memo."""
+    _need_product(alg)
+    return _taylor(alg.ring, (alg.ring.zero(),) * alg.dim, alg.mu, (a, b),
+                   v, memo)
 
 
 def _basis_vectors(ring, dim):
@@ -259,12 +266,11 @@ def check_associativity(alg, v=None):
     coefficient.
     """
     ring = alg.ring
-    if v is None:
-        v = generic_point(ring, alg.dim)
-    v = as_vector(ring, alg.dim, v)
+    v = as_vector(ring, alg.dim,
+                  generic_point(ring, alg.dim) if v is None else v)
     basis = range(alg.dim)
     one_hot, memo = _basis_vectors(ring, alg.dim), {}
-    table = {(i, j): _star_product(alg, v, one_hot[i], one_hot[j], memo)
+    table = {(i, j): _star(alg, v, one_hot[i], one_hot[j], memo)
              for i, j in itertools.product(basis, repeat=2)}
     for i, j, k in itertools.product(basis, repeat=3):
         lhs = _combination(ring, alg.dim, table[i, j],
@@ -339,46 +345,36 @@ def identity_morphism(ring, dim):
 
 def morphism_from_terms(ring, dim_v, dim_w, terms, phi0=None):
     phi = _tensors_from_terms(ring, terms, dim_v, dim_w)
-    phi0_vec = None
-    if phi0 is not None:
-        phi0_vec = as_vector(ring, dim_w, phi0)
-    return Morphism(ring, dim_v, dim_w, phi, phi0_vec)
+    if 0 in phi:
+        raise InvalidArgument("a phi term has no input; a constant term "
+                              "belongs in phi0")
+    return Morphism(ring, dim_v, dim_w, phi,
+                    None if phi0 is None else as_vector(ring, dim_w, phi0))
 
 
 def push_forward(phi, v):
     """phi(v) = phi0 + sum_{n>=1} phi^n(v, ..., v) / n!."""
-    return _push_forward(phi, v, {})
-
-
-def _push_forward(phi, v, memo):
-    ring = phi.ring
-    v = as_vector(ring, phi.dim_v, v)
-    return _weighted_sum(
-        ring, phi.phi0, ((phi.phi[n], [v] * n, math.factorial(n))
-                         for n in phi.arities()), memo)
+    v = as_vector(phi.ring, phi.dim_v, v)
+    return _taylor(phi.ring, phi.phi0, phi.phi, (), v, {})
 
 
 def derivative(phi, v, a):
     """D_v phi(a) = sum_{n>=1} phi^n(a, v, ..., v) / (n-1)!."""
-    return _derivative(phi, v, a, {})
-
-
-def _derivative(phi, v, a, memo):
     ring = phi.ring
-    v = as_vector(ring, phi.dim_v, v)
-    a = as_vector(ring, phi.dim_v, a)
-    return _weighted_sum(
-        ring, [ring.zero()] * phi.dim_w,
-        ((phi.phi[n], [a] + [v] * (n - 1), math.factorial(n - 1))
-         for n in phi.arities()), memo)
+    v, a = (as_vector(ring, phi.dim_v, x) for x in (v, a))
+    return _taylor(ring, (ring.zero(),) * phi.dim_w, phi.phi, (a,), v, {})
 
 
 def _tangent(phi, v, memo):
-    """phi(v) and the image D_v phi(e_l) of each basis vector, with the
-    one-hot vectors, on one contraction memo."""
-    one_hot = _basis_vectors(phi.ring, phi.dim_v)
-    return (_push_forward(phi, v, memo), one_hot,
-            [_derivative(phi, v, e, memo) for e in one_hot])
+    """The point v of a check, coerced (the generic point when None),
+    phi(v), the one-hot vectors and D_v phi of each, on one memo."""
+    ring = phi.ring
+    v = as_vector(ring, phi.dim_v,
+                  generic_point(ring, phi.dim_v) if v is None else v)
+    one_hot = _basis_vectors(ring, phi.dim_v)
+    zero = (ring.zero(),) * phi.dim_w
+    return (v, _taylor(ring, phi.phi0, phi.phi, (), v, memo), one_hot,
+            [_taylor(ring, zero, phi.phi, (e,), v, memo) for e in one_hot])
 
 
 def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
@@ -391,19 +387,15 @@ def check_star_morphism(phi, alg_v, alg_w, v=None, pairs=None):
     sum_l (e_i *_v e_j)_l J[l], coefficient by coefficient.
     Returns (ok, witness).
     """
-    ring = phi.ring
-    if v is None:
-        v = generic_point(ring, phi.dim_v)
-    v = as_vector(ring, phi.dim_v, v)
-    memo = {}
-    w, one_hot, jac = _tangent(phi, v, memo)
+    ring, memo = phi.ring, {}
+    v, w, one_hot, jac = _tangent(phi, v, memo)
     if pairs is None:
         pairs = itertools.combinations_with_replacement(range(phi.dim_v), 2)
     for i, j in pairs:
         _check_indices((i, j), phi.dim_v, "basis")
-        lhs = _combination(ring, phi.dim_w, _star_product(
-            alg_v, v, one_hot[i], one_hot[j], memo), jac)
-        rhs = _star_product(alg_w, w, jac[i], jac[j], memo)
+        lhs = _combination(ring, phi.dim_w,
+                           _star(alg_v, v, one_hot[i], one_hot[j], memo), jac)
+        rhs = _star(alg_w, w, jac[i], jac[j], memo)
         wit = _witness({"pair": (i, j)}, lhs, rhs, range(phi.dim_w))
         if wit:
             return False, wit
@@ -470,12 +462,11 @@ def trace_from_terms(ring, dim, terms, pp_terms=None):
 
 def potential(trace, v):
     """tau(v) = sum_n tau^n(v, ..., v) / n!."""
-    return _potential(trace, v, {})
+    return _potential(trace, as_vector(trace.ring, trace.dim, v), {})
 
 
 def _potential(trace, v, memo):
     ring = trace.ring
-    v = as_vector(ring, trace.dim, v)
     acc = {}
     for n in trace.arities():
         trace._tau_into(acc, n, [v] * n, memo, 1, math.factorial(n))
@@ -508,7 +499,8 @@ def compose_trace(tau_w, phi, v, order=None):
         order = ring.t_cap
 
     memo = {}
-    subst = _potential(tau_w, _push_forward(phi, v, memo), memo)
+    subst = _potential(
+        tau_w, _taylor(ring, phi.phi0, phi.phi, (), v, memo), memo)
 
     max_r = max(tau_w.arities(), default=0)
     images = {0: phi.phi0}
@@ -562,20 +554,17 @@ def _profile_count(n, profile):
 
 def bilinear_form(trace, v, a, b):
     """g_v(a, b) = sum_n tau_pp^(n+2)(a, b; v, ..., v) / n!."""
+    v, a, b = (as_vector(trace.ring, trace.dim, x) for x in (v, a, b))
     return _bilinear_form(trace, v, a, b, {})
 
 
 def _bilinear_form(trace, v, a, b, memo):
-    ring = trace.ring
-    v = as_vector(ring, trace.dim, v)
-    a = as_vector(ring, trace.dim, a)
-    b = as_vector(ring, trace.dim, b)
     if trace.tau_pp is None:
         raise MissingArity("trace has no two-point-class family")
     acc = {}
     for n in sorted(trace.tau_pp):
         trace._tau_pp_into(acc, [a, b], [v] * n, memo, math.factorial(n))
-    return _finish(ring, acc)
+    return _finish(trace.ring, acc)
 
 
 def pp_family_from(tau_w, phi, bulk_max):
@@ -584,39 +573,39 @@ def pp_family_from(tau_w, phi, bulk_max):
     For each bulk arity n the tensor entry at (points (x1, x2), bulk y)
     sums over set partitions of the inputs with x1, x2 in distinct
     blocks; the blocks of x1 and x2 feed the point slots of the target
-    family.  Only flat morphisms are supported.
+    family.  Only flat morphisms are supported.  A block's image depends
+    only on its sorted basis indices, so each is computed once per call.
     """
     if not phi.flat:
         raise CurvedMorphismUnsupported("the induced family needs phi0 = 0")
     ring = phi.ring
     dim = phi.dim_v
-    basis, memo = _basis_vectors(ring, dim), {}
+    basis, memo, images = _basis_vectors(ring, dim), {}, {}
     tau_pp = {}
     for n in range(0, bulk_max + 1):
         tensor = {}
         for pidx in itertools.combinations_with_replacement(range(dim), 2):
             for bidx in itertools.combinations_with_replacement(range(dim), n):
-                items = [("p", 0), ("p", 1)] + [("b", i) for i in range(n)]
+                slots = pidx + bidx
                 acc = {}
-                for blocks in set_partitions(items):
-                    # the point slots take the blocks of x1 and x2, which
-                    # must differ; both tensors are symmetric, so the
+                for blocks in set_partitions(range(n + 2)):
+                    # the point slots 0 and 1 take the blocks of x1 and x2,
+                    # which must differ; both tensors are symmetric, so the
                     # order of the blocks and of their members is free
-                    if (any({("p", 0), ("p", 1)} <= block for block in blocks)
+                    if (any({0, 1} <= block for block in blocks)
                             or any(len(block) not in phi.phi for block in blocks)
                             or tau_w.tau_pp is None
                             or len(blocks) - 2 not in tau_w.tau_pp):
                         continue
                     pts, bulk_args = [], []
                     for block in blocks:
-                        img = _apply_tensor(
-                            ring, phi.dim_w, phi.phi[len(block)],
-                            [basis[(pidx if tag == "p" else bidx)[i]]
-                             for tag, i in block], memo)
-                        if any(tag == "p" for tag, _ in block):
-                            pts.append(img)
-                        else:
-                            bulk_args.append(img)
+                        idx = tuple(sorted(slots[s] for s in block))
+                        if idx not in images:
+                            images[idx] = _apply_tensor(
+                                ring, phi.dim_w, phi.phi[len(idx)],
+                                [basis[i] for i in idx], memo)
+                        (pts if min(block) < 2 else bulk_args).append(
+                            images[idx])
                     tau_w._tau_pp_into(acc, pts, bulk_args, memo)
                 total = _finish(ring, acc)
                 if not total.is_zero():
@@ -634,12 +623,8 @@ def check_isometry(tau_v, tau_w, phi, v=None):
     """
     if not phi.flat:
         raise CurvedMorphismUnsupported("isometry check restricts to phi0 = 0")
-    ring = phi.ring
-    if v is None:
-        v = generic_point(ring, phi.dim_v)
-    v = as_vector(ring, phi.dim_v, v)
     memo = {}
-    w, one_hot, jac = _tangent(phi, v, memo)
+    v, w, one_hot, jac = _tangent(phi, v, memo)
     for i, j in itertools.combinations_with_replacement(range(phi.dim_v), 2):
         lhs = _bilinear_form(tau_v, v, one_hot[i], one_hot[j], memo)
         rhs = _bilinear_form(tau_w, w, jac[i], jac[j], memo)
@@ -744,8 +729,11 @@ def _shift_h(s, delta):
 
 def _xi_star_matrix(alg, xi, ring):
     """The matrix of xi* at the basepoint, moved into the solver ring."""
+    _need_product(alg)  # refused before xi is coerced, as in star_product
     memo, basepoint = {}, (alg.ring.zero(),) * alg.dim
-    cols = [_star_product(alg, basepoint, xi, j, memo) for j in range(alg.dim)]
+    xi = as_vector(alg.ring, alg.dim, xi)
+    cols = [_star(alg, basepoint, xi, e, memo)
+            for e in _basis_vectors(alg.ring, alg.dim)]
     if any(any(texp) or hpow
            for col in cols for entry in col for texp, _, hpow in entry.coeffs):
         raise DegenerateQDE("the product at the basepoint must be constant")

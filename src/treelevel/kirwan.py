@@ -27,6 +27,7 @@ from .errors import (
     UnstableSector,
 )
 from .linalg import cone_contains, frac_rank
+from .series import _integer
 
 # qh_presentation visits degree_bound * lcm(weights) degrees; refuse more.
 PRESENTATION_DEGREE_GUARD = 10000
@@ -40,14 +41,16 @@ class TorusAction:
     """Integer weight vectors and a rational stability character.
 
     The weights must lie in an open half-space, which makes the
-    quotient proper; construction fails otherwise.
+    quotient proper; construction fails otherwise.  A weight entry goes
+    through ``operator.index``: a float, a string or a bool is refused.
     """
 
     weights: tuple
     theta: tuple
 
     def __post_init__(self):
-        ws = tuple(tuple(int(x) for x in w) for w in self.weights)
+        ws = tuple(tuple(_integer("weight entry", x, InvalidAction) for x in w)
+                   for w in self.weights)
         th = tuple(Fraction(x) for x in self.theta)
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "theta", th)

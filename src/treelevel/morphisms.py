@@ -18,14 +18,11 @@ returns at once.
 
 from __future__ import annotations
 
-from operator import index
-
 from .errors import (
     CannotForgetRoot,
     DuplicateLegLabel,
     ForbiddenCollapse,
     ForbiddenCut,
-    InvalidArgument,
     InvalidGraph,
     MinimumMarkings,
     NoSuchEdge,
@@ -42,15 +39,7 @@ from .graphs import (
     min_valence,
     require_valid,
 )
-
-
-def _label(l):
-    """A new leg label as an int; a float or any other non-integer is
-    refused, not truncated."""
-    try:
-        return index(l)
-    except TypeError:
-        raise InvalidArgument(f"leg label {l!r} is not an integer") from None
+from .series import _integer
 
 
 def _merge(decor, edges, legs, keep, absorbed, decoration, dropped):
@@ -158,7 +147,7 @@ def cut_edge(g, edge, new_labels):
     require_valid(g)
     if not 0 <= edge < len(g.edges):
         raise NoSuchEdge(f"edge index {edge}")
-    l1, l2 = (_label(l) for l in new_labels)
+    l1, l2 = (_integer("leg label", l) for l in new_labels)
     if l1 == l2 or l1 in g.legs or l2 in g.legs:
         raise DuplicateLegLabel(f"labels {new_labels} collide")
     a, b = g.edges[edge]
@@ -239,7 +228,7 @@ def relabel_legs(g, mapping):
     """Rename legs through ``mapping`` (missing labels stay put)."""
     new = {}
     for l, v in g.legs.items():
-        nl = _label(mapping.get(l, l))
+        nl = _integer("leg label", mapping.get(l, l))
         if nl in new:
             raise DuplicateLegLabel(f"label {nl} assigned twice")
         new[nl] = v

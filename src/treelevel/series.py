@@ -23,11 +23,15 @@ from fractions import Fraction
 from .errors import CapExceeded, InvalidArgument
 
 
-def _integer(name, value):
+def _integer(name, value, error=InvalidArgument):
+    """``value`` through :func:`operator.index`, else ``error``: a float
+    is refused, not truncated, and a bool, not read as 0 or 1."""
     try:
-        return operator.index(value)
+        if not isinstance(value, bool):
+            return operator.index(value)
     except TypeError:
-        raise InvalidArgument(f"{name} {value!r} is not an integer") from None
+        pass
+    raise error(f"{name} {value!r} is not an integer")
 
 
 def _names(tvars):

@@ -475,10 +475,12 @@ class TestUsage:
         assert "residual zero: True" in capsys.readouterr().out
 
     @pytest.mark.parametrize("key, value, integer", [
-        ("order", 2.5, 2), ("q_denominator", 2.7, 2)])
+        ("order", 2.5, 2), ("q_denominator", 2.7, 2), ("order", True, 1),
+        ("q_denominator", True, 1)])
     def test_non_integer_ring_size_exits_two(self, key, value, integer,
                                              tmp_path, capsys):
-        # refused and named, where it used to run truncated with exit 0
+        # refused and named, where it used to run truncated, or read a
+        # JSON true as 1, with exit 0
         path = tmp_path / "qde.json"
         argv = ["cohft", "solve-qde", "--spec", str(path)]
         path.write_text(qde_spec(**{key: value}))
@@ -504,6 +506,37 @@ class TestUsage:
         assert main(["cohft", command, "--spec", str(path)]) == 2
         assert (f"index {value} is not an integer"
                 in assert_one_line_error(capsys))
+
+    def test_boolean_vector_entry_exits_two(self, tmp_path, capsys):
+        # [false, true] used to be read as the scalars 0 and 1, so xi
+        path = tmp_path / "qde.json"
+        path.write_text(qde_spec(xi=[False, True]))
+        assert main(["cohft", "solve-qde", "--spec", str(path)]) == 2
+        assert ("vector entry False is not a scalar"
+                in assert_one_line_error(capsys))
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("check-associativity", qde_spec(mu=[{"inputs": [1], "output": 0}]),
+         "a mu term needs 2 or more inputs, not 1"),
+        ("solve-qde", qde_spec(mu=[{"inputs": [1], "output": 0}]),
+         "a mu term needs 2 or more inputs, not 1"),
+        ("check-associativity", qde_spec(mu=[{"inputs": [], "output": 0}]),
+         "a mu term needs 2 or more inputs, not 0"),
+        ("solve-qde", qde_spec(mu=[{"inputs": [], "output": 0}]),
+         "a mu term needs 2 or more inputs, not 0"),
+        ("check-star-morphism",
+         json.dumps({**json.loads(star_morphism_spec([0, 0])),
+                     "phi": [{"inputs": [], "output": 0}]}),
+         "a phi term has no input"),
+    ], ids=["mu-one-associativity", "mu-one-qde", "mu-none-associativity",
+            "mu-none-qde", "phi-none"])
+    def test_short_arity_exits_two(self, command, text, message, tmp_path,
+                                   capsys):
+        # each ended in "factorial() not defined for negative values"
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["cohft", command, "--spec", str(path)]) == 2
+        assert message in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("key", ["order", "q_denominator"])
     def test_string_ring_size_exits_two(self, key, tmp_path, capsys):

@@ -2,9 +2,10 @@
 
 A derandomized Hypothesis fuzz of ``cli.main(argv)`` over the six
 subcommands, at small sizes, with file arguments that are missing or
-name a directory, and of ``cone --graph`` over files of random colored
-trees.  Every run returns 0, 1 or 2, or stops in argparse with
-``SystemExit(2)``; a usage error is one ``error:`` line.
+name a directory, of ``cone --graph`` over files of random colored
+trees, and of the ``cohft`` checks over small spec files.  Every run
+returns 0, 1 or 2, or stops in argparse with ``SystemExit(2)``; a
+usage error is one ``error:`` line.
 """
 
 import contextlib
@@ -149,3 +150,95 @@ def test_cone_on_random_trees(text, as_json):
         rc = run_main(["cone", "--graph", path] + (["--json"] if as_json
                                                    else []))
     assert rc in (0, 2), text
+
+
+# A JSON value of every type that may reach an integer slot of a spec:
+# ints out of range, bools, floats, strings and null.
+BAD_VALUES = st.sampled_from([-1, 2, True, False, 0.5, 1.0, "0", "x", None])
+
+
+@st.composite
+def cohft_specs(draw):
+    """A cohft command, its options and the JSON text of its spec.
+
+    The spec starts well formed, over one or two basis vectors, with
+    one to four terms per family, a product's first term of arity 2,
+    and gets up to two defects: a term cut to arity 0 or 1, an entry of
+    a term replaced by one of BAD_VALUES, a key dropped, or a bad
+    ``pairs``, ``phi0``, ``xi``, ``order`` or ``q_denominator``.  Terms
+    have arity 0-4, orders at most 6 and q caps at most 2, so each run
+    takes milliseconds."""
+    dim = draw(st.integers(1, 2))
+    index = st.integers(0, dim - 1)
+    q_denominator = draw(st.integers(1, 2))
+    exponents = ["0", "1", "1/2"][:q_denominator + 1]
+
+    def family(first, least):
+        terms = []
+        for k in range(draw(st.integers(1, 4))):
+            n = first if k == 0 else draw(st.integers(least, 4))
+            term = {"inputs": [draw(index) for _ in range(n)],
+                    "output": draw(index)}
+            if draw(st.booleans()):
+                term["coeff"] = draw(st.sampled_from(["1", "-1/2", "3", "0"]))
+            if draw(st.booleans()):
+                term["q"] = draw(st.sampled_from(exponents))
+            terms.append(term)
+        return terms
+
+    basis = [f"e{i}" for i in range(dim)]
+    command = draw(st.sampled_from(["check-star-morphism",
+                                    "check-associativity", "solve-qde"]))
+    if command == "check-star-morphism":
+        spec = {"basis_v": basis, "basis_w": basis, "mu_v": family(2, 2),
+                "mu_w": family(2, 2), "phi": family(1, 1)}
+        if draw(st.booleans()):
+            spec["pairs"] = [[draw(index), draw(index)]]
+    else:
+        spec = {"basis": basis, "mu": family(2, 2)}
+        if dim == 1 or draw(st.booleans()):
+            spec["xi"] = draw(index)
+    spec["q_cap"] = draw(st.sampled_from(["1", "3/2", 2]))
+    if q_denominator > 1 or draw(st.booleans()):
+        spec["q_denominator"] = q_denominator
+    entries = BAD_VALUES | index
+    for _ in range(draw(st.integers(0, 2))):
+        defect = draw(st.sampled_from(["arity", "entry", "drop", "key"]))
+        families = [k for k in ("mu", "mu_v", "mu_w", "phi") if k in spec]
+        if defect in ("arity", "entry") and families:
+            term = draw(st.sampled_from(spec[draw(st.sampled_from(families))]))
+            inputs = term["inputs"]
+            if defect == "arity":
+                del inputs[draw(st.integers(0, 1)):]
+            elif inputs and draw(st.booleans()):
+                inputs[draw(st.integers(0, len(inputs) - 1))] = draw(
+                    BAD_VALUES)
+            else:
+                term[draw(st.sampled_from(["output", "coeff", "q"]))] = draw(
+                    BAD_VALUES)
+        elif defect == "drop":
+            spec.pop(draw(st.sampled_from(sorted(spec))))
+        else:
+            key = draw(st.sampled_from(["pairs", "phi0", "xi", "order",
+                                        "q_denominator"]))
+            spec[key] = draw(BAD_VALUES | st.lists(entries, max_size=3)
+                             | st.lists(st.lists(entries, max_size=3),
+                                        max_size=2))
+    options = []
+    if draw(st.booleans()):
+        options += ["--order", str(draw(st.integers(0, 6)))]
+    if command == "solve-qde":
+        options += ["--q-cap", str(draw(st.integers(0, 2)))]
+    return command, options, json.dumps(spec)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(cohft_specs())
+def test_cohft_on_random_specs(case):
+    command, options, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w") as fh:
+            fh.write(text)
+        rc = run_main(["cohft", command, "--spec", path] + options)
+    assert rc in (0, 1, 2), text

@@ -195,13 +195,13 @@ class TestTablesMatchDefinitions:
         # the table's products run through the private form that takes
         # the call's contraction memo, one memo for all of them
         calls = []
-        product = cohft._star_product
+        product = cohft._star
 
         def counted(*args):
             calls.append(args)
             return product(*args)
 
-        monkeypatch.setattr(cohft, "_star_product", counted)
+        monkeypatch.setattr(cohft, "_star", counted)
         assert check_associativity(small_quantum_projective(6)) == (True, None)
         assert len(calls) == 36
         assert len({id(args[-1]) for args in calls}) == 1
@@ -611,3 +611,29 @@ def test_bool_index_refused(call):
                               ((1, 1), 0, r.q_power(1))])
     with pytest.raises(InvalidArgument, match="is not an integer"):
         call(r, alg)
+
+
+def test_bool_vector_entry_refused():
+    # [False, True] used to be read as the scalars 0 and 1
+    r = SeriesRing(tvars=["t0", "t1"], t_cap=2)
+    with pytest.raises(InvalidArgument, match="vector entry False is not"):
+        as_vector(r, 2, [False, True])
+    assert as_vector(r, 2, [0, 1]) == (r.zero(), r.one())
+
+
+# -- a product takes two or more inputs, a morphism term at least one --
+
+SHORT_ARITY_CALLS = {
+    "mu-one": lambda r: algebra_from_terms(r, ("1", "x"), [((1,), 0, 1)]),
+    "mu-none": lambda r: algebra_from_terms(r, ("1", "x"), [((), 0, 1)]),
+    "phi-none": lambda r: morphism_from_terms(r, 2, 2, [((), 0, 1)]),
+}
+
+
+@pytest.mark.parametrize("call", SHORT_ARITY_CALLS.values(),
+                         ids=SHORT_ARITY_CALLS.keys())
+def test_short_arity_refused(call):
+    # refused where the tensor is built; a star product or derivative
+    # used to end in "factorial() not defined for negative values"
+    with pytest.raises(InvalidArgument, match="input"):
+        call(SeriesRing(tvars=["t0", "t1"], t_cap=2))

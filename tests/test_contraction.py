@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treelevel import cohft
 from treelevel.cohft import (
     CohFTAlgebra,
     Morphism,
@@ -520,3 +521,31 @@ class TestSharedMemoAgainstDenseLoops:
         for source in (tau_v, tau_w):
             assert (repr(check_isometry(source, tau_w, phi))
                     == repr(ref_isometry(source, tau_w, phi, v)))
+
+
+def test_memo_outlives_dropped_vectors():
+    # White-box: one memo across evaluations whose argument vectors are
+    # built and dropped in turn.  Each memo entry holds its suffix, so a
+    # later vector can never take a dropped one's id and read its sums.
+    ring = SeriesRing(tvars=["t0", "t1"], t_cap=4)
+    rng = random.Random(2701)
+    tensors = {n: {key: {j: ring.scalar(Fraction(rng.randint(-3, 3), 2))
+                         for j in range(2)}
+                   for key in itertools.combinations_with_replacement(
+                       range(2), n)}
+               for n in (1, 2, 3)}
+    memo = {}
+
+    def evaluate(k):
+        # the vectors die when this returns, so the next call's may
+        # reuse their memory
+        v = tuple(ring.scalar(k + 1) * ring.t(i) + ring.scalar(k - i)
+                  for i in range(2))
+        a = tuple(ring.scalar(Fraction(k, 3) + i) for i in range(2))
+        for n, tensor in tensors.items():
+            args = [a] + [v] * (n - 1)
+            assert (cohft._apply_tensor(ring, 2, tensor, args, memo)
+                    == cohft._apply_tensor(ring, 2, tensor, args, {})), k
+
+    for k in range(60):
+        evaluate(k)

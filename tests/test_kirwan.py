@@ -38,6 +38,13 @@ class TestAction:
             TorusAction([(0,)], (1,))
         TorusAction([(-1,), (-2,)], (-1,))  # a negative half-space is fine
 
+    @pytest.mark.parametrize("entry", [1.5, "3", True])
+    def test_non_integer_weight_refused(self, entry):
+        # refused, not truncated to 1, parsed as 3 or read as 1
+        message = f"^weight entry {entry!r} is not an integer$"
+        with pytest.raises(InvalidAction, match=message):
+            TorusAction([(entry,), (2,)], (1,))
+
     def test_rank_two_halfspace(self):
         TorusAction([(1, 0), (0, 1), (1, 1)], (1, 1))
         with pytest.raises(InvalidAction):

@@ -233,9 +233,9 @@ class TestForgetTail:
         with pytest.raises(DuplicateLegLabel):
             relabel_legs(open_mult(2), {1: 2})
 
-    @pytest.mark.parametrize("label", [9.9, 9.0, "9"])
+    @pytest.mark.parametrize("label", [9.9, 9.0, "9", True])
     def test_relabel_non_integer_label_refused(self, label):
-        # refused, not truncated to leg 9
+        # refused, not truncated to leg 9 or read as leg 1
         with pytest.raises(InvalidArgument, match=f"leg label {label!r}"):
             relabel_legs(open_mult(2), {1: label})
 

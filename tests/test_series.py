@@ -125,9 +125,9 @@ class TestNegativeCaps:
 
     @pytest.mark.parametrize("size, value", [
         ("t_cap", 2.9), ("h_cap", 1.5), ("q_denominator", 2.5),
-        ("t_cap", "2")])
+        ("t_cap", "2"), ("t_cap", True), ("q_denominator", True)])
     def test_non_integer_size_refused(self, size, value):
-        # refused, not truncated to an integer
+        # refused, not truncated to an integer or read as 1
         with pytest.raises(InvalidArgument,
                            match=f"^{size} {value!r} is not an integer$"):
             SeriesRing(tvars=["t0"], **{size: value})
